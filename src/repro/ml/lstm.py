@@ -5,6 +5,13 @@ fixed 20-step window with a linear regression head on the last hidden
 state — with gradients derived by hand.  Batched matrix work is the only
 place NumPy is worth its overhead in this project.
 
+Two forward paths share the weights.  Inference, ``forward(x)``, is
+cache-free and stacks every product as a ``(rows, 1, K) @ (K, N)``
+matmul: NumPy makes per row the GEMV call a batch-1 product makes, so
+row ``i`` is bit-identical to ``forward(x[i:i+1])`` on any BLAS build.
+Training, ``forward(x, keep_cache=True)`` and ``loss_and_grads``, runs
+row-batched GEMMs and keeps the caches backward needs.
+
 Shapes: inputs are ``(batch, time, features)``; the head output is
 ``(batch, outputs)``.
 """
@@ -139,6 +146,24 @@ class LstmLayer:
             d_c_next = d_c * f
         return d_x, [d_wx, d_wh, d_b]
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` without the cache, one GEMV per row and product."""
+        rows, steps, _ = x.shape
+        H = self.hidden_size
+        h = np.zeros((rows, 1, H))
+        c = np.zeros((rows, 1, H))
+        hs = np.empty((rows, steps, H))
+        for t in range(steps):
+            z = np.matmul(x[:, t : t + 1], self.w_x) + np.matmul(h, self.w_h) + self.b
+            i = _sigmoid(z[..., :H])
+            f = _sigmoid(z[..., H : 2 * H])
+            g = np.tanh(z[..., 2 * H : 3 * H])
+            o = _sigmoid(z[..., 3 * H :])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs[:, t : t + 1] = h
+        return hs
+
 
 class LstmNetwork:
     """Stacked LSTM with a linear head on the final hidden state.
@@ -184,18 +209,22 @@ class LstmNetwork:
     def forward(
         self, x: np.ndarray, keep_cache: bool = False
     ) -> np.ndarray | Tuple[np.ndarray, list]:
-        """Predict from a window batch ``(batch, time, input_size)``."""
+        """Predict from ``(batch, time, input_size)``; ``keep_cache`` takes
+        the training path and also returns the caches (module docstring)."""
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(f"bad input shape {x.shape}")
+        if not keep_cache:
+            h = np.ascontiguousarray(x, dtype=np.float64)
+            for layer in self.layers:
+                h = layer.infer(h)
+            return np.matmul(h[:, -1:], self.w_out)[:, 0] + self.b_out
         h = x
         caches = []
         for layer in self.layers:
             h, cache = layer.forward(h)
             caches.append(cache)
         y = h[:, -1] @ self.w_out + self.b_out
-        if keep_cache:
-            return y, caches + [h]
-        return y
+        return y, caches + [h]
 
     def loss_and_grads(
         self, x: np.ndarray, targets: np.ndarray

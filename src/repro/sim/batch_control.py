@@ -24,14 +24,14 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
   order, signed zeros, and guard short-circuits).
 * **Transcendentals stay per-lane ``math`` calls** (``atan``/``sin`` are
   not bit-pinned across libm/SIMD implementations).
-* **The ML arm batches its LSTM forward.**  Lanes carrying a stock
-  :class:`~repro.ml.mitigation.MitigationController` run Algorithm 1
-  through :class:`repro.sim.batch_ml.BatchMitigation` — one stacked
-  ``LstmNetwork.forward`` per tick with bit-verified row batching — and
-  arbitrate through the same vectorized hierarchy (``"ml"`` authority
-  codes included).
+* **The ML arm batches its LSTM forward.**  Lanes whose controller
+  passes :func:`repro.sim.batch_ml.ml_batchable` (stock controller,
+  baseline and network) run Algorithm 1 through
+  :class:`repro.sim.batch_ml.BatchMitigation` — one row-exact
+  ``LstmNetwork.forward`` per network per tick — and arbitrate through
+  the same vectorized hierarchy (``"ml"`` authority codes included).
 * **Per-lane-only features stay scalar.**  Lanes with a trace recorder or
-  a *non-stock* ML controller are not vectorizable (:attr:`vector_set`
+  any other ML controller are not vectorizable (:attr:`vector_set`
   excludes them; the executor runs their ordinary ``_control_phase``).
   The driver model, the fault-injection triggers and the cut-in scan run
   as per-lane hooks *inside* the vectorized step, fed by (and feeding)
@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.adas.controlsd import AdasCommand
 from repro.adas.lat_planner import lat_plan_arrays
-from repro.ml.mitigation import MitigationController
 from repro.adas.lead_tracker import TrackedLead, tracker_step_arrays
 from repro.adas.long_planner import long_plan_arrays
 from repro.adas.perception import perception_head_arrays
@@ -62,7 +61,7 @@ from repro.safety.arbitration import FinalCommand
 from repro.safety.driver import DriverAction, DriverView
 from repro.safety.ldw import ldw_arrays
 from repro.safety.panda import checker_arrays
-from repro.sim.batch_ml import BatchMitigation
+from repro.sim.batch_ml import BatchMitigation, ml_batchable
 from repro.sim.batch_state import BatchDynamics
 from repro.utils.npmath import np_max_pair, np_min_pair
 from repro.utils.units import G
@@ -100,16 +99,13 @@ class BatchControlStack:
             )
 
         #: Lanes the vectorized path covers; the rest (trace recording, or
-        #: a non-stock ML controller whose overridden ``step`` we cannot
-        #: replicate) must run the scalar ``_control_phase``.
+        #: an ML controller ``BatchMitigation`` cannot replicate) must run
+        #: the scalar ``_control_phase``.
         self.vector_set = frozenset(
             i
             for i, p in enumerate(self.platforms)
             if p.trace is None
-            and (
-                p.ml_controller is None
-                or type(p.ml_controller) is MitigationController
-            )
+            and (p.ml_controller is None or ml_batchable(p.ml_controller))
         )
 
         #: Vectorized Algorithm 1 over the ML lanes (None without any).

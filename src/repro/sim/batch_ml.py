@@ -3,13 +3,12 @@
 :class:`BatchMitigation` is the batch twin of
 :class:`repro.ml.mitigation.MitigationController`: per lockstep tick it
 maintains every ML lane's feature window in one ``(n, WINDOW, features)``
-array, normalises the full-window lanes elementwise, runs the LSTM
-baseline **once per step over all stacked windows** (the forward in
-:mod:`repro.ml.lstm` is already batch-shaped — only the per-episode
-controller drove it batch=1) and vectorizes the CUSUM/threshold
-bookkeeping lane-wide.  At :meth:`retire` the lane's window/CUSUM state is
-written through to the scalar controller object, so post-episode
-inspection sees exactly what the serial path would have left behind.
+array, normalises the full-window lanes elementwise, runs each LSTM
+**once per step over all its stacked windows** and vectorizes the
+CUSUM/threshold bookkeeping lane-wide.  At :meth:`retire` the lane's
+window/CUSUM state is written through to the scalar controller object,
+so post-episode inspection sees exactly what the serial path would have
+left behind.
 
 Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
 
@@ -18,15 +17,13 @@ Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
   ``S > tau`` / inclusive ``delta <= bias`` threshold branches are all
   IEEE-754 elementwise ops replicated with scalar branch semantics
   (``np.where`` preserving operand order and signed zeros).
-* **Row-batched matmuls are verified, not assumed.**  BLAS may pick a
-  different kernel (and a different k-summation order) for a
-  ``(B, K) @ (K, N)`` product than for the ``(1, K) @ (K, N)`` the scalar
-  path issues, which would break float64 bit-identity.  The first time a
-  given ``(network, batch_size)`` pair is seen, the batched forward is
-  computed *and* compared bitwise against per-lane batch=1 slices (the
-  scalar path's exact arithmetic); the verdict is memoized per pair —
-  kernel selection depends on shapes, not values — and lanes fall back to
-  per-lane slices whenever the batched product disagrees.
+* **The batched forward is row-exact by construction.**  The inference
+  ``LstmNetwork.forward`` stacks rows as ``(rows, 1, K)`` matmul
+  operands, so each row gets the GEMV call the scalar ``predict_one``
+  makes, on any BLAS build (see :mod:`repro.ml.lstm`).  Only the stock
+  classes promise that, so :func:`ml_batchable` admits a lane only when
+  controller, baseline and network are exactly ``MitigationController``,
+  ``TrainedBaseline`` and ``LstmNetwork``; other lanes run scalar.
 * **Warm-up mirrors the scalar path.**  Lanes with fewer than ``WINDOW``
   samples return the OP command with recovery False and touch no CUSUM
   state (see ``tests/test_ml.py::TestAlgorithm1EdgeSemantics``).
@@ -43,10 +40,23 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.ml.dataset import FEATURE_NAMES, WINDOW
+from repro.ml.lstm import LstmNetwork
 from repro.ml.mitigation import MitigationController
+from repro.ml.trainer import TrainedBaseline
 from repro.utils.npmath import np_clamp
 
 _N_FEATURES = len(FEATURE_NAMES)
+
+
+def ml_batchable(ctl: object) -> bool:
+    """Whether :class:`BatchMitigation` replicates ``ctl`` bit for bit:
+    exact stock types only, since a subclass or a duck-typed baseline may
+    compute anything."""
+    return (
+        type(ctl) is MitigationController
+        and type(ctl.baseline) is TrainedBaseline
+        and type(ctl.baseline.network) is LstmNetwork
+    )
 
 
 class BatchMitigation:
@@ -54,10 +64,8 @@ class BatchMitigation:
 
     Args:
         platforms: the batch's per-episode platforms, in lane order.
-        lanes: global lane ids carrying a (stock)
-            :class:`MitigationController`; every one must satisfy
-            ``type(p.ml_controller) is MitigationController`` (subclasses
-            may override ``step`` and must stay on the scalar path).
+        lanes: global lane ids whose ``ml_controller`` satisfies
+            :func:`ml_batchable` (anything else stays on the scalar path).
 
     The per-lane state is initialised to the *reset* state (empty window,
     zero CUSUM) — the executor's ``_begin_episode`` resets the scalar
@@ -71,10 +79,11 @@ class BatchMitigation:
         n = len(self.platforms)
         for lane in lanes:
             ctl = self.platforms[lane].ml_controller
-            if type(ctl) is not MitigationController:
+            if not ml_batchable(ctl):
                 raise ValueError(
                     f"lane {lane}: BatchMitigation requires a stock "
-                    f"MitigationController, got {type(ctl).__name__}"
+                    f"MitigationController over a TrainedBaseline and an "
+                    f"LstmNetwork, got {type(ctl).__name__}"
                 )
 
         def arr(get) -> np.ndarray:
@@ -105,8 +114,8 @@ class BatchMitigation:
             self._t_std[lane] = np.asarray(b.target_std, dtype=np.float64)
 
         # Forward groups: lanes sharing one network batch one matmul.
-        self._groups: List[Tuple[object, frozenset]] = []
-        by_net: Dict[int, Tuple[object, List[int]]] = {}
+        self._groups: List[Tuple[LstmNetwork, frozenset]] = []
+        by_net: Dict[int, Tuple[LstmNetwork, List[int]]] = {}
         for lane in lanes:
             net = self.platforms[lane].ml_controller.baseline.network
             by_net.setdefault(id(net), (net, []))[1].append(lane)
@@ -122,14 +131,6 @@ class BatchMitigation:
         self._s = np.zeros(n)
         self._recovery = np.zeros(n, dtype=bool)
         self._activations = np.zeros(n, dtype=np.int64)
-
-        #: (network id, batch size) -> batched forward proven bit-identical
-        #: to per-lane batch=1 slices.
-        self._batched_ok: Dict[Tuple[int, int], bool] = {}
-        #: Networks whose batched forward has disagreed at some size:
-        #: kernel-dispatch mismatches are systematic, so stop paying the
-        #: probe cost for new sizes (already-proven sizes stay batched).
-        self._net_failed: set = set()
 
     # ------------------------------------------------------------------ #
     # One vectorized Algorithm 1 tick
@@ -171,7 +172,7 @@ class BatchMitigation:
         flanes = idx[fpos]
 
         # predict(): normalise -> forward -> denormalise (all elementwise
-        # except the forward, which _forward_rows bit-verifies).
+        # except the forward, whose rows are exact by construction).
         x = (buf[flanes] - self._f_mean[flanes][:, None, :]) / self._f_std[
             flanes
         ][:, None, :]
@@ -181,7 +182,7 @@ class BatchMitigation:
                 [lane in members for lane in flanes.tolist()]
             )[0]
             if rows.size:
-                y[rows] = self._forward_rows(net, x[rows])
+                y[rows] = net.forward(x[rows])
         y = y * self._t_std[flanes] + self._t_mean[flanes]
 
         accel_ml = np_clamp(y[:, 0], self._min_accel[flanes], self._max_accel[flanes])
@@ -208,35 +209,6 @@ class BatchMitigation:
         ml_steer[fpos] = steer_ml
         recovery[fpos] = self._recovery[flanes]
         return recovery, ml_accel, ml_steer
-
-    def _forward_rows(self, network, x: np.ndarray) -> np.ndarray:
-        """``network.forward`` rows, bit-identical to per-lane batch=1.
-
-        Verifies the row-batched forward against per-lane slices on first
-        use of each ``(network, batch_size)`` pair (kernel selection is
-        shape-dependent, not value-dependent) and memoizes the verdict;
-        a batch of one *is* the scalar call.
-        """
-        m = x.shape[0]
-        if m == 1:
-            return network.forward(x)
-        cache_key = (id(network), m)
-        batched_ok = self._batched_ok.get(cache_key)
-        if batched_ok is None and id(network) not in self._net_failed:
-            batched = np.asarray(network.forward(x))
-            per_lane = np.concatenate(
-                [network.forward(x[i : i + 1]) for i in range(m)], axis=0
-            )
-            batched_ok = batched.tobytes() == per_lane.tobytes()
-            self._batched_ok[cache_key] = batched_ok
-            if not batched_ok:
-                self._net_failed.add(id(network))
-            return batched if batched_ok else per_lane
-        if batched_ok:
-            return network.forward(x)
-        return np.concatenate(
-            [network.forward(x[i : i + 1]) for i in range(m)], axis=0
-        )
 
     # ------------------------------------------------------------------ #
     # Retirement write-through

@@ -277,13 +277,15 @@ class TestResolveExecutor:
         assert backend.profile is not None
 
 
-def synthetic_ml_factory(seed=7, hidden=(8, 6), token="test:synthetic"):
+def synthetic_ml_factory(
+    seed=7, hidden=(8, 6), token="test:synthetic", network_cls=LstmNetwork
+):
     """A deterministic untrained-weights factory: predictions are
     arbitrary (large CUSUM deltas → the recovery path actually runs),
     construction is instant, and the bit-identity contract does not care
     about predictive quality."""
     baseline = TrainedBaseline(
-        network=LstmNetwork(
+        network=network_cls(
             input_size=6, hidden_sizes=hidden, output_size=2, seed=seed
         ),
         feature_mean=np.array([20.0, 60.0, 0.9, 0.9, 0.0, 0.0]),
@@ -292,6 +294,24 @@ def synthetic_ml_factory(seed=7, hidden=(8, 6), token="test:synthetic"):
         target_std=np.array([1.5, 0.05]),
     )
     return MitigationFactory(baseline, digest_token=f"{token}:{seed}:{hidden}")
+
+
+class ConstantBaseline:
+    """A duck-typed ML baseline: ``MitigationController`` only ever calls
+    ``predict``, so serial runs it although it has no scalers or network."""
+
+    def predict(self, window):
+        return np.array([-2.0, 0.01])
+
+
+def constant_ml_factory():
+    """Module-level (picklable) factory over :class:`ConstantBaseline`."""
+    return MitigationController(ConstantBaseline())
+
+
+class SubclassedLstm(LstmNetwork):
+    """An ``LstmNetwork`` subclass: it may override ``forward``, so the
+    batch engine must not assume its rows are exact."""
 
 
 #: ML arm on top of the widest stack: Algorithm 1 arbitrates against the
@@ -415,6 +435,32 @@ class TestBatchMlLaneEquivalence:
             cache=False, max_steps=300,
         )
         assert batch.results == serial.results
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            constant_ml_factory,
+            synthetic_ml_factory(network_cls=SubclassedLstm, token="test:sub"),
+        ],
+        ids=["duck-typed-baseline", "lstm-subclass"],
+    )
+    def test_non_stock_baseline_runs_scalar_and_matches(self, factory):
+        # Serial runs any baseline with a predict method.  A duck-typed
+        # one (no feature_mean) and a TrainedBaseline over a subclass
+        # must leave the vector set and run scalar under batch and
+        # batch x jobs alike.
+        spec = _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=13)
+        serial = run_campaign(
+            spec, ML_CFG, ml_factory=factory, executor="serial",
+            cache=False, max_steps=300,
+        )
+        assert any(r.ml_recovery.triggered for r in serial.results)
+        for jobs in (None, 2):
+            other = run_campaign(
+                spec, ML_CFG, ml_factory=factory, executor="batch",
+                jobs=jobs, cache=False, max_steps=300,
+            )
+            assert other.results == serial.results, jobs
 
     def test_mixed_ml_and_plain_lanes_one_batch(self):
         # One lockstep batch mixing ML lanes (two distinct baselines —

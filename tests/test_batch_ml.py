@@ -7,19 +7,23 @@ scalar :class:`MitigationController` with the same feature stream,
 including warm-up, activation, exit and the sliding window.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adas.controlsd import AdasCommand
 from repro.ml.dataset import WINDOW
-from repro.ml.lstm import LstmNetwork
+from repro.ml.lstm import LstmNetwork, _sigmoid
 from repro.ml.mitigation import (
     MitigationController,
     MitigationFactory,
     MitigationParams,
 )
 from repro.ml.trainer import TrainedBaseline
-from repro.sim.batch_ml import BatchMitigation
+from repro.sim.batch_ml import BatchMitigation, ml_batchable
 
 
 def synthetic_baseline(seed=7, hidden=(8, 6)):
@@ -123,71 +127,27 @@ class TestBatchMitigationEquivalence:
 
 
 class TestBatchMitigationInternals:
-    def make(self, n=3, params=None):
-        baseline = synthetic_baseline()
-        params = params or MitigationParams()
-        platforms = [
-            _FakePlatform(MitigationController(baseline, params))
-            for _ in range(n)
-        ]
-        return BatchMitigation(platforms, range(n)), platforms
-
     def test_rejects_non_stock_controller(self):
         class Custom(MitigationController):
             pass
 
-        platform = _FakePlatform(Custom(synthetic_baseline()))
-        with pytest.raises(ValueError, match="stock MitigationController"):
-            BatchMitigation([platform], [0])
+        class Constant:
+            def predict(self, window):
+                return np.zeros(2)
 
-    def test_forward_verification_memoizes_per_batch_size(self):
-        batch, _ = self.make(n=3)
-        net = synthetic_baseline().network
-        x = np.random.default_rng(0).normal(size=(3, WINDOW, 6))
-        batch._forward_rows(net, x)
-        assert (id(net), 3) in batch._batched_ok
-        # Batch of one is the scalar call itself — never probed.
-        batch._forward_rows(net, x[:1])
-        assert (id(net), 1) not in batch._batched_ok
+        class Network(LstmNetwork):
+            pass
 
-    def test_forward_rows_match_predict_one_slices(self):
-        # Whatever mode the probe picks, the output must equal per-lane
-        # batch=1 forwards (the scalar predict_one arithmetic).
-        batch, _ = self.make(n=4)
-        net = synthetic_baseline().network
-        x = np.random.default_rng(1).normal(size=(4, WINDOW, 6))
-        rows = batch._forward_rows(net, x)
-        expected = np.concatenate(
-            [net.forward(x[i : i + 1]) for i in range(4)], axis=0
-        )
-        assert rows.tobytes() == expected.tobytes()
-        # Second call takes the memoized path; result must not change.
-        assert batch._forward_rows(net, x).tobytes() == expected.tobytes()
-
-    def test_failed_probe_stops_probing_new_sizes(self):
-        class _LyingNetwork:
-            """forward() whose batched rows disagree with batch=1 rows."""
-
-            def __init__(self):
-                self.calls = []
-
-            def forward(self, x):
-                self.calls.append(x.shape[0])
-                out = np.full((x.shape[0], 2), float(x.shape[0]))
-                return out
-
-        batch, _ = self.make(n=2)
-        net = _LyingNetwork()
-        x = np.zeros((3, WINDOW, 6))
-        rows = batch._forward_rows(net, x)
-        # Fallback output is built from batch=1 slices.
-        assert np.all(rows == 1.0)
-        assert batch._batched_ok[(id(net), 3)] is False
-        calls_after_probe = len(net.calls)
-        # A new size skips the batched probe entirely (per-lane only).
-        rows = batch._forward_rows(net, np.zeros((2, WINDOW, 6)))
-        assert np.all(rows == 1.0)
-        assert net.calls[calls_after_probe:] == [1, 1]
+        subclassed = replace(synthetic_baseline(), network=Network(input_size=6))
+        for ctl in (
+            Custom(synthetic_baseline()),
+            MitigationController(Constant()),
+            MitigationController(subclassed),
+        ):
+            assert not ml_batchable(ctl)
+            with pytest.raises(ValueError, match="stock MitigationController"):
+                BatchMitigation([_FakePlatform(ctl)], [0])
+        assert ml_batchable(MitigationController(synthetic_baseline()))
 
     def test_retire_ignores_non_ml_lane(self):
         baseline = synthetic_baseline()
@@ -197,3 +157,58 @@ class TestBatchMitigationInternals:
         ]
         batch = BatchMitigation(platforms, [0])
         batch.retire(1)  # must not raise
+
+
+#: The paper's 128-64 network and a tiny one, built once (weights only).
+_NETS = {
+    hidden: LstmNetwork(input_size=6, hidden_sizes=hidden, output_size=2, seed=5)
+    for hidden in ((128, 64), (3, 2))
+}
+
+#: ``_sigmoid`` outputs at its +-30 input clip.
+_CLIP_EDGES = _sigmoid(np.array([-30.0, 30.0]))
+
+
+def _reaches_clip(net, x):
+    """Whether some gate of ``x``'s forward saturates at the +-30 clip."""
+    _, state = net.forward(x, keep_cache=True)
+    return any(
+        np.isin(cache[gate], _CLIP_EDGES).any()
+        for cache in state[:-1]
+        for gate in "ifo"
+    )
+
+
+class TestInferenceKernel:
+    """The contract ``BatchMitigation`` relies on: the inference forward's
+    rows do not depend on the batch width, and batch 1 keeps the training
+    path's arithmetic, so serial numerics are unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=32),
+        hidden=st.sampled_from(sorted(_NETS)),
+        scale=st.sampled_from([0.5, 5.0, 500.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rows_equal_batch_one_and_training_path(self, width, hidden, scale, seed):
+        net = _NETS[hidden]
+        x = np.random.default_rng(seed).normal(0.0, scale, (width, WINDOW, 6))
+        if scale == 500.0:
+            assert _reaches_clip(net, x)
+        rows = net.forward(x)
+        for i in range(width):
+            one = net.forward(x[i : i + 1])
+            assert rows[i : i + 1].tobytes() == one.tobytes(), i
+            train = net.forward(x[i : i + 1], keep_cache=True)[0]
+            assert one.tobytes() == train.tobytes(), i
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_bits_do_not_depend_on_memory_layout(self, width):
+        net = _NETS[(128, 64)]
+        for seed in range(4):
+            x = np.random.default_rng(seed).normal(0.0, 5.0, (width, WINDOW, 6))
+            expected = net.forward(x).tobytes()
+            assert net.forward(np.asfortranarray(x)).tobytes() == expected
+            strided = np.repeat(x, 2, axis=0)[::2]
+            assert net.forward(strided).tobytes() == expected
