@@ -148,12 +148,19 @@ from repro.core.cache import (
     verify_cache,
     write_digest_sidecar,
 )
-from repro.core.executor import EXECUTOR_NAMES, PhaseProfile, resolve_executor
+from repro.core.executor import (
+    EXECUTOR_NAMES,
+    PhaseProfile,
+    default_batch_lanes,
+    default_jobs,
+    resolve_executor,
+)
 from repro.core.experiment import merge_shards, run_campaign
 from repro.core.scheduler import (
     SchedulerError,
     dispatch_campaign,
     load_job_spec,
+    make_backend,
     registered_backends,
 )
 from repro.safety.aebs import AebsConfig
@@ -710,25 +717,15 @@ def _backend_kwargs(args) -> dict:
             f"--ssh-command only applies to '--backend ssh', got "
             f"--backend {args.backend}"
         )
-    backend = args.backend
-    if backend == "ssh" and args.ssh_command:
-        from repro.core.scheduler import SSHBackend
-
-        backend = SSHBackend(
-            workers=args.workers,
-            jobs=args.jobs,
-            lanes=getattr(args, "lanes", None),
-            command_template=args.ssh_command,
-        )
-    return {
-        "backend": backend,
-        "workers": args.workers,
-        "shards": args.shards,
-        "workdir": args.workdir,
-        "jobs": args.jobs,
-        "executor": getattr(args, "executor", None),
-        "lanes": getattr(args, "lanes", None),
-    }
+    backend = make_backend(
+        args.backend,
+        workers=args.workers,
+        jobs=args.jobs,
+        executor=args.executor,
+        lanes=args.lanes,
+        command_template=args.ssh_command,
+    )
+    return {"backend": backend, "shards": args.shards, "workdir": args.workdir}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -969,28 +966,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    # Campaign commands fall back to REPRO_JOBS when --jobs is omitted;
-    # surface a malformed env var as a clean CLI error, not a traceback.
-    # (Commands without a --jobs flag never read the env var.)
-    if "jobs" in vars(args) and args.jobs is None:
-        from repro.core.executor import default_jobs
-
-        try:
-            default_jobs()
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-
-    # Same surfacing for REPRO_BATCH_LANES when --lanes is omitted on a
-    # command that could route through the batch executor.
-    if "lanes" in vars(args) and args.lanes is None:
-        from repro.core.executor import default_batch_lanes
-
-        try:
-            default_batch_lanes()
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+    # Campaign commands fall back to REPRO_JOBS / REPRO_BATCH_LANES when
+    # --jobs / --lanes is omitted; surface a malformed env var as a clean
+    # CLI error before any work, not a traceback.  (Commands without the
+    # flag never read the env var.)
+    for flag, env_default in (("jobs", default_jobs), ("lanes", default_batch_lanes)):
+        if flag in vars(args) and getattr(args, flag) is None:
+            try:
+                env_default()
+            except ValueError as exc:
+                print(f"repro: error: {exc}", file=sys.stderr)
+                return 2
 
     # Umbrella for configuration errors every command can hit (a malformed
     # REPRO_CACHE_DIR consulted deep inside run_campaign, an unwritable

@@ -7,8 +7,9 @@
   brake, min TTC, following distance, lane-line distance).
 * :mod:`repro.core.platform` — the 100 Hz loop wiring simulator,
   perception, fault injection, ADAS, safety interventions and arbitration.
-* :mod:`repro.core.executor` — pluggable campaign execution backends
-  (serial / process-pool) with deterministic, ordered results.
+* :mod:`repro.core.executor` — pluggable campaign executors (serial /
+  batch, each alone or inside one process pool) with deterministic,
+  ordered results.
 * :mod:`repro.core.cache` — digest-keyed campaign result cache behind
   pluggable storage backends (``REPRO_CACHE_DIR``).
 * :mod:`repro.core.experiment` — campaign execution (sharding, resume,
@@ -25,7 +26,6 @@ from repro.core.executor import (
     ParallelExecutor,
     SerialExecutor,
     available_cores,
-    make_executor,
 )
 from repro.core.cache import (
     CacheBackend,
@@ -70,7 +70,6 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "available_cores",
-    "make_executor",
     "CacheBackend",
     "CampaignCache",
     "DirectoryCacheBackend",

@@ -4,37 +4,42 @@ Campaign episodes are embarrassingly parallel *by construction*: every
 episode seed is derived order-independently from the campaign seed (see
 :func:`repro.attacks.campaign.enumerate_campaign`) and a
 :class:`~repro.core.platform.SimulationPlatform` owns all of its state, so
-episodes share nothing at run time.  This module exploits that with two
-interchangeable backends behind one abstraction:
+episodes share nothing at run time.  This module exploits that with four
+interchangeable executors behind one abstraction,
+:class:`CampaignExecutor`:
 
 * :class:`SerialExecutor` — runs episodes in-process, in order.  Zero
-  overhead; the reference backend.
-* :class:`ParallelExecutor` — fans episode *chunks* out to a
-  ``concurrent.futures.ProcessPoolExecutor`` and reassembles results in
-  submission order, so the returned list is **bit-identical** to the
-  serial backend's for the same episode list.
+  overhead; the reference executor.
 * :class:`BatchExecutor` — steps all episodes in lockstep through the
-  vectorized batch engine in one process; bit-identical results.
-* :class:`BatchParallelExecutor` — the batch × jobs hybrid
-  (``--executor batch --jobs N``): contiguous lane shards across worker
-  processes, the batch engine inside each, ordered reassembly; composes
-  the vectorization speedup with multi-core scaling, still bit-identical.
+  vectorized batch engine in one process.
+* :class:`ParallelExecutor` and :class:`BatchParallelExecutor` — one
+  process pool (:func:`_run_pool`) running one of the two in-process
+  executors inside each worker: contiguous chunks go out, results come
+  back in submission order.  ``ParallelExecutor`` runs
+  :class:`SerialExecutor` in many small chunks for load balancing;
+  ``BatchParallelExecutor`` (``--executor batch --jobs N``) runs
+  :class:`BatchExecutor` in one wide chunk per worker, composing the
+  vectorization speedup with multi-core scaling.
 
-Both backends report progress through a thread-safe ``(done, total)``
-callback (see :class:`ProgressTracker`), counted per *episode* even when
-dispatch happens per chunk.
+All four return results **bit-identical** to the serial executor's for
+the same episode list, and report progress through a thread-safe
+``(done, total)`` callback (see :class:`ProgressTracker`), counted per
+*episode* even when dispatch happens per chunk.
 
 Episode payloads cross process boundaries, which is why
 :class:`~repro.core.metrics.EpisodeResult` is fully picklable and carries
 ``to_dict``/``from_dict`` serialization.  When a payload is *not*
-picklable (e.g. a lambda ``ml_factory``), :class:`ParallelExecutor`
-degrades to in-process execution with a ``RuntimeWarning`` rather than
-failing mid-campaign — use the picklable
+picklable (e.g. a lambda ``ml_factory``), the pool degrades to
+in-process execution with a ``RuntimeWarning`` rather than failing
+mid-campaign — use the picklable
 :class:`repro.ml.mitigation.MitigationFactory` (which carries the trained
 weights) instead of a lambda so ML campaigns dispatch like the rest.
 
-The worker-count default honours the ``REPRO_JOBS`` environment variable
-(see :func:`default_jobs`), so campaigns parallelise without touching call
+:func:`resolve_executor` is the one way from knobs (an
+:data:`EXECUTOR_NAMES` name, ``jobs``, ``lanes``) to an executor, and
+:func:`check_knobs` the one validation of those knobs.  ``jobs``
+defaults to the ``REPRO_JOBS`` environment variable (see
+:func:`default_jobs`), so campaigns parallelise without touching call
 sites: ``REPRO_JOBS=8 python -m repro table6``.
 """
 
@@ -49,11 +54,14 @@ from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.campaign import EpisodeSpec
 from repro.core.metrics import EpisodeResult
 from repro.safety.arbitration import InterventionConfig
+
+if TYPE_CHECKING:
+    from repro.core.platform import SimulationPlatform
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -128,23 +136,26 @@ class PhaseProfile:
         }
 
 
-def execute_task(task: EpisodeTask) -> EpisodeResult:
-    """Run one :class:`EpisodeTask` to completion (the worker entry point).
+def _build_platform(task: EpisodeTask) -> "SimulationPlatform":
+    """A fresh platform for ``task``, with its own ML controller.
 
-    Module-level (not a closure or method) so it is picklable by
-    ``ProcessPoolExecutor``; imports the platform lazily to keep worker
-    start-up cheap under spawn-based start methods.
+    Imports the platform lazily to keep worker start-up cheap under
+    spawn-based start methods.
     """
     from repro.core.platform import SimulationPlatform
 
     controller = task.ml_factory() if task.ml_factory is not None else None
-    platform = SimulationPlatform(
+    return SimulationPlatform(
         task.spec,
         task.interventions,
         ml_controller=controller,
         **dict(task.platform_kwargs),
     )
-    return platform.run()
+
+
+def execute_task(task: EpisodeTask) -> EpisodeResult:
+    """Run one :class:`EpisodeTask` to completion."""
+    return _build_platform(task).run()
 
 
 def execute_task_profiled(task: EpisodeTask, profile: PhaseProfile) -> EpisodeResult:
@@ -154,15 +165,7 @@ def execute_task_profiled(task: EpisodeTask, profile: PhaseProfile) -> EpisodeRe
     between phases; the call sequence (and therefore the result) is
     identical to the unprofiled path.
     """
-    from repro.core.platform import SimulationPlatform
-
-    controller = task.ml_factory() if task.ml_factory is not None else None
-    platform = SimulationPlatform(
-        task.spec,
-        task.interventions,
-        ml_controller=controller,
-        **dict(task.platform_kwargs),
-    )
+    platform = _build_platform(task)
     result = platform._begin_episode()
     for step_index in range(platform.max_steps):
         t0 = perf_counter()
@@ -180,18 +183,6 @@ def execute_task_profiled(task: EpisodeTask, profile: PhaseProfile) -> EpisodeRe
             break
     platform._finish_episode(result)
     return result
-
-
-def _execute_chunk(tasks: Sequence[EpisodeTask]) -> List[EpisodeResult]:
-    """Worker-side: run one chunk of tasks in order."""
-    return [execute_task(task) for task in tasks]
-
-
-def _execute_batch_chunk(
-    tasks: Sequence[EpisodeTask], lanes: Optional[int]
-) -> List[EpisodeResult]:
-    """Worker-side: run one chunk of tasks through the batch engine."""
-    return BatchExecutor(lanes=lanes).run(tasks)
 
 
 class ProgressTracker:
@@ -246,6 +237,16 @@ class CampaignExecutor(abc.ABC):
     ) -> List[EpisodeResult]:
         """Execute every task and return results in task order."""
 
+    def stream_width(self, remaining: int) -> int:
+        """Tasks per :meth:`run` call when results stream to a resume file.
+
+        A resumed run hands the executor its ``remaining`` tasks in
+        slices of this width and persists each slice's results before the
+        next starts, so the width is both the executor's unit of work and
+        the most a crash can lose.  The default is 8 episodes.
+        """
+        return 8
+
 
 class SerialExecutor(CampaignExecutor):
     """In-process, in-order execution (the reference backend).
@@ -279,6 +280,84 @@ class SerialExecutor(CampaignExecutor):
         return results
 
 
+def _run_chunk(
+    inner: CampaignExecutor, tasks: Sequence[EpisodeTask]
+) -> List[EpisodeResult]:
+    """Worker-side: run one chunk of tasks through the in-process executor."""
+    return inner.run(tasks)
+
+
+def _dispatchable(tasks: Sequence[EpisodeTask]) -> bool:
+    """True when every payload survives the process boundary.
+
+    Probing only ``tasks[0]`` is not enough: campaigns mix arms, and a
+    non-picklable payload (e.g. a lambda ``ml_factory`` on the ML arm)
+    can sit anywhere in the list.  The expensive part of a task pickle
+    is the ``ml_factory`` payload, so one representative per distinct
+    factory object is probed instead of all N tasks.
+    """
+    seen: set = set()
+    for task in tasks:
+        marker = id(task.ml_factory) if task.ml_factory is not None else None
+        if marker in seen:
+            continue
+        seen.add(marker)
+        try:
+            pickle.dumps(task)
+        except Exception:
+            return False
+    return True
+
+
+def _run_pool(
+    inner: CampaignExecutor,
+    jobs: int,
+    chunk_size: int,
+    tasks: Sequence[EpisodeTask],
+    progress: Optional[ProgressCallback],
+) -> List[EpisodeResult]:
+    """Run ``tasks`` on ``jobs`` worker processes, ``inner`` inside each.
+
+    The one process-pool loop: tasks go out in contiguous chunks of
+    ``chunk_size`` and are reassembled in submission order, so the result
+    list is bit-identical to ``inner.run(tasks)`` whatever the chunk
+    boundaries.  One worker, one task or a payload that does not pickle
+    runs ``inner`` in this process instead.
+    """
+    if not tasks:
+        return []
+    if jobs == 1 or len(tasks) == 1:
+        # One worker or one task: a pool adds spawn + pickling overhead
+        # with zero parallelism to gain.
+        return inner.run(tasks, progress)
+    if not _dispatchable(tasks):
+        warnings.warn(
+            "campaign payload is not picklable (e.g. a lambda ml_factory); "
+            "falling back to in-process execution — use a module-level "
+            "factory such as repro.ml.MitigationFactory to enable "
+            "parallel dispatch",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return inner.run(tasks, progress)
+
+    tracker = ProgressTracker(len(tasks), progress)
+    chunks = [
+        list(tasks[i : i + chunk_size]) for i in range(0, len(tasks), chunk_size)
+    ]
+    ordered: Dict[int, List[EpisodeResult]] = {}
+    with _ProcessPool(max_workers=min(jobs, len(chunks))) as pool:
+        futures = {
+            pool.submit(_run_chunk, inner, chunk): index
+            for index, chunk in enumerate(chunks)
+        }
+        for future in as_completed(futures):
+            chunk_results = future.result()
+            ordered[futures[future]] = chunk_results
+            tracker.advance(len(chunk_results))
+    return [result for index in range(len(chunks)) for result in ordered[index]]
+
+
 class ParallelExecutor(CampaignExecutor):
     """Process-pool execution with chunked dispatch and ordered reassembly.
 
@@ -298,81 +377,24 @@ class ParallelExecutor(CampaignExecutor):
     MAX_AUTO_CHUNK = 16
 
     def __init__(self, jobs: int, chunk_size: Optional[int] = None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_knobs(jobs=jobs, chunk_size=chunk_size)
         self.jobs = jobs
         self.chunk_size = chunk_size
-
-    def _auto_chunk_size(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        per_worker = max(1, total // (self.jobs * 4))
-        return min(per_worker, self.MAX_AUTO_CHUNK)
-
-    @staticmethod
-    def _dispatchable(tasks: Sequence[EpisodeTask]) -> bool:
-        """True when every payload survives the process boundary.
-
-        Probing only ``tasks[0]`` is not enough: campaigns mix arms, and a
-        non-picklable payload (e.g. a lambda ``ml_factory`` on the ML arm)
-        can sit anywhere in the list.  The expensive part of a task pickle
-        is the ``ml_factory`` payload, so one representative per distinct
-        factory object is probed instead of all N tasks.
-        """
-        seen: set = set()
-        for task in tasks:
-            marker = id(task.ml_factory) if task.ml_factory is not None else None
-            if marker in seen:
-                continue
-            seen.add(marker)
-            try:
-                pickle.dumps(task)
-            except Exception:
-                return False
-        return True
 
     def run(
         self,
         tasks: Sequence[EpisodeTask],
         progress: Optional[ProgressCallback] = None,
     ) -> List[EpisodeResult]:
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
-            # One worker or one task: a pool adds spawn + pickling overhead
-            # with zero parallelism to gain.
-            return SerialExecutor().run(tasks, progress)
-        if not self._dispatchable(tasks):
-            warnings.warn(
-                "campaign payload is not picklable (e.g. a lambda ml_factory); "
-                "falling back to in-process execution — use a module-level "
-                "factory such as repro.ml.MitigationFactory to enable "
-                "parallel dispatch",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialExecutor().run(tasks, progress)
+        size = self.chunk_size or min(
+            max(1, len(tasks) // (self.jobs * 4)), self.MAX_AUTO_CHUNK
+        )
+        return _run_pool(SerialExecutor(), self.jobs, size, tasks, progress)
 
-        tracker = ProgressTracker(len(tasks), progress)
-        size = self._auto_chunk_size(len(tasks))
-        chunks = [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-        ordered: Dict[int, List[EpisodeResult]] = {}
-        with _ProcessPool(max_workers=min(self.jobs, len(chunks))) as pool:
-            futures = {
-                pool.submit(_execute_chunk, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                chunk_results = future.result()
-                ordered[index] = chunk_results
-                tracker.advance(len(chunk_results))
-        results: List[EpisodeResult] = []
-        for index in range(len(chunks)):
-            results.extend(ordered[index])
-        return results
+    def stream_width(self, remaining: int) -> int:
+        # A few dispatch rounds per slice, so streaming costs little
+        # parallel efficiency.
+        return max(8, 4 * self.jobs)
 
 
 class BatchExecutor(CampaignExecutor):
@@ -406,11 +428,9 @@ class BatchExecutor(CampaignExecutor):
         lanes: Optional[int] = None,
         profile: Optional[PhaseProfile] = None,
     ) -> None:
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
+        check_knobs(lanes=lanes)
         self.lanes = lanes
         self.profile = profile
-        self.jobs = 1
 
     def run(
         self,
@@ -431,6 +451,11 @@ class BatchExecutor(CampaignExecutor):
                 self._run_batch(tasks, indices[i : i + width], results, tracker)
         return results  # type: ignore[return-value]
 
+    def stream_width(self, remaining: int) -> int:
+        # One lockstep batch per slice: the lane cap, or uncapped the
+        # whole remainder, which persists only once it completes.
+        return self.lanes or max(1, remaining)
+
     def _run_batch(
         self,
         tasks: Sequence[EpisodeTask],
@@ -439,23 +464,11 @@ class BatchExecutor(CampaignExecutor):
         tracker: ProgressTracker,
     ) -> None:
         """Run one same-``dt`` group of episodes in lockstep."""
-        from repro.core.platform import SimulationPlatform
         from repro.sim.batch_control import BatchControlStack
         from repro.sim.batch_hazards import BatchHazardMonitor
         from repro.sim.batch_state import BatchDynamics
 
-        platforms = []
-        for index in indices:
-            task = tasks[index]
-            controller = task.ml_factory() if task.ml_factory is not None else None
-            platforms.append(
-                SimulationPlatform(
-                    task.spec,
-                    task.interventions,
-                    ml_controller=controller,
-                    **dict(task.platform_kwargs),
-                )
-            )
+        platforms = [_build_platform(tasks[index]) for index in indices]
         from repro.safety.aebs import AebsConfig
 
         dynamics = BatchDynamics(
@@ -571,12 +584,7 @@ class BatchParallelExecutor(CampaignExecutor):
         lanes: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_knobs(jobs=jobs, lanes=lanes, chunk_size=chunk_size)
         self.jobs = jobs
         self.lanes = lanes
         self.chunk_size = chunk_size
@@ -586,41 +594,14 @@ class BatchParallelExecutor(CampaignExecutor):
         tasks: Sequence[EpisodeTask],
         progress: Optional[ProgressCallback] = None,
     ) -> List[EpisodeResult]:
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
-            return BatchExecutor(lanes=self.lanes).run(tasks, progress)
-        if not ParallelExecutor._dispatchable(tasks):
-            warnings.warn(
-                "campaign payload is not picklable (e.g. a lambda ml_factory); "
-                "falling back to in-process batch execution — use a "
-                "module-level factory such as repro.ml.MitigationFactory to "
-                "enable parallel dispatch",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return BatchExecutor(lanes=self.lanes).run(tasks, progress)
+        # ceil: one chunk per worker
+        size = self.chunk_size or max(1, -(-len(tasks) // self.jobs))
+        inner = BatchExecutor(lanes=self.lanes)
+        return _run_pool(inner, self.jobs, size, tasks, progress)
 
-        tracker = ProgressTracker(len(tasks), progress)
-        size = self.chunk_size
-        if size is None:
-            size = -(-len(tasks) // self.jobs)  # ceil: one chunk per worker
-        chunks = [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-        ordered: Dict[int, List[EpisodeResult]] = {}
-        with _ProcessPool(max_workers=min(self.jobs, len(chunks))) as pool:
-            futures = {
-                pool.submit(_execute_batch_chunk, chunk, self.lanes): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                chunk_results = future.result()
-                ordered[index] = chunk_results
-                tracker.advance(len(chunk_results))
-        results: List[EpisodeResult] = []
-        for index in range(len(chunks)):
-            results.extend(ordered[index])
-        return results
+    def stream_width(self, remaining: int) -> int:
+        # One lane-capped batch per worker, or uncapped the whole remainder.
+        return self.jobs * self.lanes if self.lanes else max(1, remaining)
 
 
 def available_cores() -> int:
@@ -635,28 +616,35 @@ def available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _env_count(name: str, meaning: str) -> Optional[int]:
+    """A positive integer from environment variable ``name`` (None if unset).
+
+    Raises:
+        ValueError: on a malformed or non-positive value.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name} must be a positive integer ({meaning}), got {raw!r}"
+        ) from None
+    if value < 1:
+        raise ValueError(
+            f"{name} must be a positive integer ({meaning}), got {value}"
+        )
+    return value
+
+
 def default_jobs() -> int:
     """Worker-count default: the ``REPRO_JOBS`` environment variable, or 1.
 
     Raises:
         ValueError: on a malformed or non-positive ``REPRO_JOBS``.
     """
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer (worker process count), "
-            f"got {raw!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer (worker process count), "
-            f"got {jobs}"
-        )
-    return jobs
+    return _env_count("REPRO_JOBS", "worker process count") or 1
 
 
 def default_batch_lanes() -> Optional[int]:
@@ -667,48 +655,35 @@ def default_batch_lanes() -> Optional[int]:
     Raises:
         ValueError: on a malformed or non-positive ``REPRO_BATCH_LANES``.
     """
-    raw = os.environ.get("REPRO_BATCH_LANES")
-    if raw is None:
-        return None
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_LANES must be a positive integer (lockstep lane "
-            f"cap), got {raw!r}"
-        ) from None
-    if lanes < 1:
-        raise ValueError(
-            f"REPRO_BATCH_LANES must be a positive integer (lockstep lane "
-            f"cap), got {lanes}"
-        )
-    return lanes
-
-
-def make_executor(jobs: Optional[int] = None) -> CampaignExecutor:
-    """Build the executor for a requested worker count.
-
-    Args:
-        jobs: worker processes; ``None`` defers to :func:`default_jobs`
-            (the ``REPRO_JOBS`` environment variable, then 1).
-
-    Returns:
-        :class:`SerialExecutor` for one worker, else a
-        :class:`ParallelExecutor`.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs=jobs)
+    return _env_count("REPRO_BATCH_LANES", "lockstep lane cap")
 
 
 #: Executor names accepted wherever an executor can be chosen by string
 #: (``run_campaign(..., executor="batch")``, ``--executor`` on the CLI,
 #: fleet worker command lines).
 EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "parallel", "batch")
+
+
+def check_knobs(
+    executor: "str | CampaignExecutor | None" = None, **counts: Optional[int]
+) -> None:
+    """The one validation of execution knobs, wherever they are accepted.
+
+    A name ``executor`` must be in :data:`EXECUTOR_NAMES` (an instance or
+    ``None`` passes); each ``counts`` knob (``jobs``, ``lanes``,
+    ``workers``, ``chunk_size``) must be ``None`` (its default) or >= 1.
+
+    Raises:
+        ValueError: naming the offending argument.
+    """
+    if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of "
+            f"{', '.join(EXECUTOR_NAMES)}"
+        )
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def resolve_executor(
@@ -722,12 +697,12 @@ def resolve_executor(
     Args:
         executor: a :data:`EXECUTOR_NAMES` name, a ready
             :class:`CampaignExecutor` instance (returned unchanged), or
-            ``None`` to defer to :func:`make_executor`.
-        jobs: worker count for the ``None``/``"parallel"``/``"batch"``
-            cases; ``None`` defers to :func:`default_jobs` (the
-            ``REPRO_JOBS`` environment variable, then 1).
-            ``executor="batch"`` with more than one worker resolves to
-            the :class:`BatchParallelExecutor` hybrid (lane shards across
+            ``None``: serial for one worker, parallel for more.
+        jobs: worker count for every name but ``"serial"``; ``None``
+            defers to :func:`default_jobs` (the ``REPRO_JOBS``
+            environment variable, then 1).  ``executor="batch"`` with
+            more than one worker resolves to the
+            :class:`BatchParallelExecutor` hybrid (lane shards across
             workers, batch engine inside each, bit-identical results).
         lanes: lockstep lane cap for the ``"batch"`` case (per worker
             under the hybrid); ``None`` defers to
@@ -739,41 +714,35 @@ def resolve_executor(
             with a profile raises.
 
     Raises:
-        ValueError: on an unknown executor name, or on ``profile`` with
-            a multi-process backend.
+        ValueError: from :func:`check_knobs` — an unknown executor name,
+            or ``jobs``/``lanes`` below 1, whatever the name — or on
+            ``profile`` with a multi-process backend.
     """
+    check_knobs(executor, jobs=jobs, lanes=lanes)
+    if executor is not None and not isinstance(executor, str):
+        return executor
+    if jobs is None and executor != "serial":
+        jobs = default_jobs()
     if executor is None:
-        if profile is None:
-            return make_executor(jobs)
-        executor = (
-            "parallel" if (jobs if jobs is not None else default_jobs()) > 1
-            else "serial"
-        )
-    if isinstance(executor, str):
-        if executor == "serial":
-            return SerialExecutor(profile=profile)
-        if executor == "parallel":
-            if profile is not None:
-                raise ValueError(
-                    "per-phase profiling times the step loop in-process; "
-                    "the parallel executor runs episodes in worker "
-                    "processes — use the serial or batch executor"
-                )
-            return ParallelExecutor(jobs=jobs if jobs is not None else default_jobs())
-        if executor == "batch":
-            batch_jobs = jobs if jobs is not None else default_jobs()
-            batch_lanes = lanes if lanes is not None else default_batch_lanes()
-            if batch_jobs > 1:
-                if profile is not None:
-                    raise ValueError(
-                        "--profile times the step loop in one process, but "
-                        "--jobs > 1 shards the batch executor across worker "
-                        "processes — drop --profile or run with --jobs 1"
-                    )
-                return BatchParallelExecutor(jobs=batch_jobs, lanes=batch_lanes)
-            return BatchExecutor(lanes=batch_lanes, profile=profile)
+        executor = "parallel" if jobs > 1 else "serial"
+    if executor == "serial":
+        return SerialExecutor(profile=profile)
+    if executor == "parallel":
+        if profile is not None:
+            raise ValueError(
+                "per-phase profiling times the step loop in-process; "
+                "the parallel executor runs episodes in worker "
+                "processes — use the serial or batch executor"
+            )
+        return ParallelExecutor(jobs=jobs)
+    if lanes is None:
+        lanes = default_batch_lanes()
+    if jobs == 1:
+        return BatchExecutor(lanes=lanes, profile=profile)
+    if profile is not None:
         raise ValueError(
-            f"unknown executor {executor!r}; expected one of "
-            f"{', '.join(EXECUTOR_NAMES)}"
+            "--profile times the step loop in one process, but "
+            "--jobs > 1 shards the batch executor across worker "
+            "processes — drop --profile or run with --jobs 1"
         )
-    return executor
+    return BatchParallelExecutor(jobs=jobs, lanes=lanes)

@@ -10,22 +10,30 @@ Execution architecture
 ----------------------
 
 Episodes are dispatched through the pluggable executor layer in
-:mod:`repro.core.executor`:
+:mod:`repro.core.executor`, resolved from ``executor``, ``jobs`` and
+``lanes`` by :func:`~repro.core.executor.resolve_executor`:
 
 * ``run_campaign(..., jobs=1)`` (the default) uses the in-process
   :class:`~repro.core.executor.SerialExecutor`;
 * ``jobs=N`` fans episodes out to a process pool via
-  :class:`~repro.core.executor.ParallelExecutor` — results are reassembled
-  in enumeration order, so both backends return **bit-identical**
-  :class:`CampaignResult`\\ s for the same spec;
-* ``jobs=None`` defers to the ``REPRO_JOBS`` environment variable (then 1),
-  so existing call sites parallelise without code changes;
-* an explicit ``executor=`` overrides all of the above (used by tests and
-  custom backends).
+  :class:`~repro.core.executor.ParallelExecutor`;
+* ``executor="batch"`` steps episodes in lockstep, at most ``lanes`` at a
+  time, through :class:`~repro.core.executor.BatchExecutor`; with
+  ``jobs=N`` it is :class:`~repro.core.executor.BatchParallelExecutor`,
+  the same process pool with the batch engine inside each worker;
+* ``jobs=None`` / ``lanes=None`` defer to the ``REPRO_JOBS`` /
+  ``REPRO_BATCH_LANES`` environment variables (then 1 / uncapped), so
+  existing call sites parallelise without code changes;
+* a ready executor instance as ``executor=`` overrides all of the above
+  (used by tests and custom backends).
+
+Every executor returns results in enumeration order, **bit-identical**
+across executors for the same spec.
 
 Environment variables (shared with the CLI and benchmark suite):
 
 * ``REPRO_JOBS`` — default worker process count for campaigns.
+* ``REPRO_BATCH_LANES`` — default lockstep lane cap of the batch executor.
 * ``REPRO_REPS`` / ``REPRO_FULL`` — benchmark repetition count (see
   :mod:`benchmarks._bench_utils`).
 
@@ -36,7 +44,10 @@ persistence layer on top of that format makes campaigns distributable:
 * **resume** — ``run_campaign(..., resume_path=...)`` loads the valid
   prefix of a partially-written JSONL file, skips the episodes it already
   records, runs only the remainder and rewrites the file complete.  Safe at
-  any truncation point, including a write cut mid-line.
+  any truncation point, including a write cut mid-line.  The remainder
+  streams to the file in slices of the executor's
+  :meth:`~repro.core.executor.CampaignExecutor.stream_width` (under
+  ``executor="batch"``, the lane cap, or the whole remainder uncapped).
 * **cache** — ``run_campaign(..., cache=...)`` (default: the
   ``REPRO_CACHE_DIR`` environment variable, see
   :func:`repro.core.cache.default_cache`) consults a digest-keyed

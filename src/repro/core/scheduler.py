@@ -14,7 +14,7 @@ explicit three-phase pipeline:
   producing a shard JSONL plus its ``.digest`` sidecar.  Backends live in
   a registry (the :mod:`repro.sim.families` idiom):
 
-  - :class:`InProcessBackend` wraps the Serial/Parallel executors —
+  - :class:`InProcessBackend` wraps the executor layer —
     ``run_campaign`` is a thin façade over a single-shard plan on this
     backend, bit-identical to the historical path;
   - :class:`SubprocessFleetBackend` spawns N ``repro worker`` CLI
@@ -74,12 +74,11 @@ from repro.core.cache import (
     write_digest_sidecar,
 )
 from repro.core.executor import (
-    EXECUTOR_NAMES,
-    resolve_executor,
     CampaignExecutor,
     EpisodeTask,
     available_cores,
-    make_executor,
+    check_knobs,
+    resolve_executor,
 )
 from repro.core.experiment import (
     CampaignResult,
@@ -420,13 +419,13 @@ def execute_shard(
         # of nothing.  The rewrite goes through a temp file + atomic rename
         # so a crash mid-rewrite cannot destroy the episodes already earned;
         # a crash mid-append only dangles a final line, which the next
-        # resume's prefix load already tolerates.  Batches are a few
-        # dispatch rounds wide so streaming costs little parallel efficiency.
+        # resume's prefix load already tolerates.  The executor sets the
+        # batch width (see CampaignExecutor.stream_width).
         rewrite_tmp = f"{os.fspath(resume_path)}.tmp"
         save_results(prior, rewrite_tmp)
         os.replace(rewrite_tmp, resume_path)
         write_digest_sidecar(resume_path, resume_digest)
-        batch_size = max(8, 4 * getattr(backend, "jobs", 1))
+        batch_size = backend.stream_width(len(tasks))
         for start in range(0, len(tasks), batch_size):
             batch = tasks[start : start + batch_size]
             done_before = skipped + len(new)
@@ -676,12 +675,8 @@ class InProcessBackend(WorkerBackend):
         executor: Union[str, CampaignExecutor, None] = None,
         lanes: Optional[int] = None,
     ) -> None:
+        check_knobs(executor, workers=workers, jobs=jobs, lanes=lanes)
         self.jobs = jobs if jobs is not None else workers
-        if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTOR_NAMES)}"
-            )
         self.executor = executor
         self.lanes = lanes
 
@@ -777,19 +772,13 @@ class SubprocessFleetBackend(WorkerBackend):
     ) -> None:
         if workers is None:
             workers = max(1, min(2, available_cores()))
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        check_knobs(executor, workers=workers, jobs=jobs, lanes=lanes)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if poll_interval <= 0.0:
             raise ValueError(
                 f"poll_interval must be positive (seconds between fleet "
                 f"liveness polls), got {poll_interval}"
-            )
-        if executor is not None and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTOR_NAMES)}"
             )
         self.workers = workers
         self.jobs = jobs
@@ -798,8 +787,6 @@ class SubprocessFleetBackend(WorkerBackend):
         self.max_retries = max_retries
         self.poll_interval = poll_interval
         self.executor = executor
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.lanes = lanes
 
     def default_shard_count(self) -> int:

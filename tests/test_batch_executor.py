@@ -31,6 +31,7 @@ from repro.ml.trainer import TrainedBaseline
 from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
 from repro.sim.families import registered_families
+from tests.test_executor import PoolContract
 
 #: The widest intervention stack: driver + safety check + independent
 #: AEB exercises every sensor corridor the batch engine pre-computes
@@ -223,10 +224,13 @@ class TestBatchExecutorConstruction:
             BatchExecutor(lanes=0)
         with pytest.raises(ValueError, match="lanes"):
             BatchExecutor(lanes=-4)
+        with pytest.raises(ValueError, match="lanes"):
+            BatchParallelExecutor(jobs=2, lanes=0)
 
     def test_default_lanes_unbounded(self):
         assert BatchExecutor().lanes is None
         assert BatchExecutor(lanes=8).lanes == 8
+        assert not hasattr(BatchExecutor(), "jobs")
 
 
 class TestResolveExecutor:
@@ -246,6 +250,14 @@ class TestResolveExecutor:
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ValueError, match="serial.*parallel.*batch"):
             resolve_executor("warp")
+
+    @pytest.mark.parametrize("knob", ["jobs", "lanes"])
+    @pytest.mark.parametrize("name", ["serial", "parallel", "batch", None])
+    def test_nonpositive_counts_rejected_for_every_name(self, name, knob):
+        # One validator runs before any name dispatch: a knob the chosen
+        # executor would ignore is still refused, naming the argument.
+        with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+            resolve_executor(name, **{knob: 0})
 
     def test_names_registry(self):
         assert EXECUTOR_NAMES == ("serial", "parallel", "batch")
@@ -483,7 +495,9 @@ class TestBatchMlLaneEquivalence:
         assert batch == serial
 
 
-class TestBatchParallelExecutor:
+class TestBatchParallelExecutor(PoolContract):
+    pool_cls = BatchParallelExecutor
+
     def _spec(self, seed=99):
         return CampaignSpec(
             scenario_ids=("S1", "S4"),
@@ -514,77 +528,50 @@ class TestBatchParallelExecutor:
 
         assert digest(hybrid, "hybrid.jsonl") == digest(serial, "serial.jsonl")
 
-    def test_chunk_boundaries_do_not_change_results(self):
-        serial = run_campaign(
-            self._spec(7), FULL_CFG, executor="serial", cache=False,
-            max_steps=300,
-        )
-        for chunk_size in (1, 2, 4):
-            hybrid = run_campaign(
-                self._spec(7),
-                FULL_CFG,
-                executor=BatchParallelExecutor(jobs=2, chunk_size=chunk_size),
-                cache=False,
-                max_steps=300,
-            )
-            assert hybrid.results == serial.results, chunk_size
 
-    def test_jobs_one_short_circuits_in_process(self):
-        serial = run_campaign(
-            self._spec(3), FULL_CFG, executor="serial", cache=False,
-            max_steps=200,
-        )
-        hybrid = run_campaign(
-            self._spec(3),
-            FULL_CFG,
-            executor=BatchParallelExecutor(jobs=1),
-            cache=False,
-            max_steps=200,
-        )
-        assert hybrid.results == serial.results
+class TestResumeStreamWidth:
+    """Under ``resume_path`` the shard primitive slices the remaining tasks
+    by the executor's own ``stream_width``, so the batch engine steps its
+    lane cap (or the whole remainder) at a time — not a fixed 8 lanes."""
 
-    def test_non_picklable_payload_falls_back_with_warning(self):
-        # The lambda factory is the hazard under test: the hybrid's
-        # pickle probe must catch it and fall back in-process.
-        baseline = synthetic_ml_factory().baseline
-        spec = _family_spec("S1", FaultType.NONE, seed=2, repetitions=2)
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            hybrid = run_campaign(
-                spec,
-                ML_CFG,
-                ml_factory=lambda: MitigationController(baseline),  # repro-lint: disable=unpicklable-submission
-                executor=BatchParallelExecutor(jobs=2),
-                cache=False,
-                max_steps=200,
-            )
-        serial = run_campaign(
-            spec,
-            ML_CFG,
-            ml_factory=lambda: MitigationController(baseline),  # repro-lint: disable=unpicklable-submission
-            executor="serial",
-            cache=False,
-            max_steps=200,
-        )
-        assert hybrid.results == serial.results
+    #: S1-S6 x 60/230 m x 2 faults x 2 repetitions = 48 episodes.
+    SPEC = CampaignSpec(
+        fault_types=[FaultType.RELATIVE_DISTANCE, FaultType.DESIRED_CURVATURE],
+        repetitions=2,
+        seed=7,
+    )
 
-    def test_progress_reports_all_episodes(self):
+    @pytest.mark.parametrize("lanes, widths", [(None, [48]), (32, [32, 16])])
+    def test_batch_widths_under_resume(self, lanes, widths, tmp_path, monkeypatch):
         seen = []
-        run_campaign(
-            self._spec(5),
-            FULL_CFG,
-            executor=BatchParallelExecutor(jobs=2),
-            cache=False,
-            max_steps=150,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen[-1] == (6, 6)
-        dones = [d for d, _ in seen]
-        assert dones == sorted(dones)
+        run_batch = BatchExecutor._run_batch
 
-    def test_construction_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            BatchParallelExecutor(jobs=0)
-        with pytest.raises(ValueError, match="lanes"):
-            BatchParallelExecutor(jobs=2, lanes=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            BatchParallelExecutor(jobs=2, chunk_size=0)
+        def spy(self, tasks, indices, results, tracker):
+            seen.append(len(indices))
+            run_batch(self, tasks, indices, results, tracker)
+
+        monkeypatch.setattr(BatchExecutor, "_run_batch", spy)
+        resumed = run_campaign(
+            self.SPEC, FULL_CFG, executor="batch", lanes=lanes, cache=False,
+            resume_path=str(tmp_path / "resume.jsonl"), max_steps=40,
+        )
+        assert seen == widths
+        seen.clear()
+        direct = run_campaign(
+            self.SPEC, FULL_CFG, executor="batch", lanes=lanes, cache=False,
+            max_steps=40,
+        )
+        assert seen == widths
+        assert resumed.results == direct.results
+
+    def test_stream_width_per_executor(self):
+        assert SerialExecutor().stream_width(48) == 8
+        assert ParallelExecutor(jobs=1).stream_width(48) == 8
+        assert ParallelExecutor(jobs=3).stream_width(48) == 12
+        assert BatchExecutor().stream_width(48) == 48
+        assert BatchExecutor(lanes=32).stream_width(48) == 32
+        assert BatchParallelExecutor(jobs=2).stream_width(48) == 48
+        assert BatchParallelExecutor(jobs=2, lanes=4).stream_width(48) == 8
+        # A complete resume file leaves nothing to run; the width must
+        # still be a valid slice step.
+        assert BatchExecutor().stream_width(0) == 1

@@ -525,7 +525,7 @@ class TestReportPipelineCache:
         def boom(*args, **kwargs):
             raise AssertionError("cache miss: campaign execution attempted")
 
-        monkeypatch.setattr(scheduler, "make_executor", boom)
+        monkeypatch.setattr(scheduler, "resolve_executor", boom)
         monkeypatch.setattr(ml, "load_or_train_cached", boom)
 
         text = generate_report(config)

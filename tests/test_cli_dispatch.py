@@ -150,6 +150,22 @@ class TestDispatchCommand:
         assert rc == 2
         assert "--ssh-command" in capsys.readouterr().err
 
+    def test_ssh_command_keeps_executor_jobs_and_lanes(self):
+        from repro.cli import _backend_kwargs
+
+        args = build_parser().parse_args(
+            [
+                "dispatch", *GRID,
+                "--backend", "ssh", "--ssh-command", "ssh h {command}",
+                "--executor", "batch", "--jobs", "2", "--lanes", "8",
+            ]
+        )
+        backend = _backend_kwargs(args)["backend"]
+        wrapped = backend.worker_command("spec.json")[-1]
+        assert wrapped.startswith("ssh h ")
+        for flag in ("--executor batch", "--jobs 2", "--lanes 8"):
+            assert flag in wrapped, flag
+
 
 class TestWorkerCommand:
     def test_worker_executes_a_spec_file(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
 from repro.attacks.fi import FaultType
+from repro.core import executor as executor_module
 from repro.core.executor import (
     BatchExecutor,
     EpisodeTask,
@@ -19,7 +20,6 @@ from repro.core.executor import (
     ProgressTracker,
     SerialExecutor,
     default_jobs,
-    make_executor,
 )
 from repro.core.experiment import CampaignResult, run_campaign
 from repro.core.hazards import AccidentType
@@ -45,7 +45,112 @@ SMALL_SPEC = CampaignSpec(
 SMALL_CFG = InterventionConfig(driver=True, aeb=AebsConfig.COMPROMISED)
 
 
-class TestExecutorDeterminism:
+def _benign_tasks(count, ml_at=()):
+    """``count`` short fault-free tasks; positions in ``ml_at`` carry an
+    unpicklable lambda ``ml_factory`` (the pickle-probe hazard)."""
+    tasks = []
+    for rep in range(count):
+        spec = EpisodeSpec(
+            scenario_id="S1",
+            initial_gap=60.0,
+            fault_type=FaultType.NONE,
+            repetition=rep,
+            seed=7 + rep,
+        )
+        if rep in ml_at:
+            tasks.append(
+                EpisodeTask.make(
+                    spec,
+                    InterventionConfig(ml=True),
+                    ml_factory=lambda: _DummyMl(),  # repro-lint: disable=unpicklable-submission
+                    max_steps=200,
+                )
+            )
+        else:
+            tasks.append(EpisodeTask.make(spec, InterventionConfig(), max_steps=200))
+    return tasks
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class PoolContract:
+    """Behaviours both process-pool executors share, one test body each.
+
+    ``ParallelExecutor`` and ``BatchParallelExecutor`` run the one pool
+    loop with a different in-process executor inside each worker; a
+    subclass per pool class (``pool_cls``) runs every test below.
+    """
+
+    pool_cls: type
+
+    def test_chunk_boundaries_do_not_change_results(self):
+        serial = run_campaign(
+            SMALL_SPEC, SMALL_CFG, executor=SerialExecutor(), max_steps=1000
+        )
+        for chunk_size in (1, 3, 100):
+            pooled = run_campaign(
+                SMALL_SPEC,
+                SMALL_CFG,
+                executor=self.pool_cls(jobs=2, chunk_size=chunk_size),
+                max_steps=1000,
+            )
+            assert pooled.results == serial.results, chunk_size
+
+    def test_jobs_one_short_circuits_in_process(self, monkeypatch):
+        tasks = _benign_tasks(3)
+        serial = SerialExecutor().run(tasks)
+        monkeypatch.setattr(executor_module, "_ProcessPool", _no_pool)
+        assert self.pool_cls(jobs=1).run(tasks) == serial
+        assert self.pool_cls(jobs=4).run(tasks[:1]) == serial[:1]
+
+    def test_non_picklable_payload_falls_back_with_warning(self):
+        tasks = _benign_tasks(2, ml_at=(0, 1))
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            pooled = self.pool_cls(jobs=2).run(tasks)
+        assert pooled == SerialExecutor().run(tasks)
+
+    def test_unpicklable_payload_in_later_position_falls_back(self):
+        # Campaigns mix arms: probing only tasks[0] would green-light a
+        # list whose lambda ml_factory sits further in and then explode
+        # inside the process pool mid-campaign.  A non-first non-picklable
+        # payload must fall back in-process just like a first one.
+        tasks = _benign_tasks(3, ml_at=(2,))
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            pooled = self.pool_cls(jobs=2).run(tasks)
+        assert pooled == SerialExecutor().run(tasks)
+
+    def test_progress_is_monotonic_and_complete(self):
+        calls = []
+        run_campaign(
+            SMALL_SPEC,
+            SMALL_CFG,
+            executor=self.pool_cls(jobs=2, chunk_size=1),
+            progress=lambda done, total: calls.append((done, total)),
+            max_steps=500,
+        )
+        dones = [d for d, _ in calls]
+        assert dones == sorted(dones)
+        assert calls[-1] == (4, 4)
+        assert all(t == 4 for _, t in calls)
+
+    def test_empty_episode_list(self):
+        campaign = run_campaign(
+            [], InterventionConfig(), executor=self.pool_cls(jobs=2)
+        )
+        assert campaign.results == []
+
+    def test_construction_validation(self):
+        with pytest.raises(ValueError, match="jobs"):
+            self.pool_cls(jobs=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            self.pool_cls(jobs=2, chunk_size=0)
+
+
+class TestExecutorDeterminism(PoolContract):
+    pool_cls = ParallelExecutor
+
     def test_serial_and_parallel_results_identical(self):
         serial = run_campaign(
             SMALL_SPEC, SMALL_CFG, executor=SerialExecutor(), max_steps=1500
@@ -56,116 +161,10 @@ class TestExecutorDeterminism:
         assert serial.results == parallel.results
         assert serial.intervention == parallel.intervention
 
-    def test_parallel_chunking_preserves_order(self):
-        serial = run_campaign(
-            SMALL_SPEC, SMALL_CFG, executor=SerialExecutor(), max_steps=1000
-        )
-        for chunk_size in (1, 3, 100):
-            parallel = run_campaign(
-                SMALL_SPEC,
-                SMALL_CFG,
-                executor=ParallelExecutor(jobs=2, chunk_size=chunk_size),
-                max_steps=1000,
-            )
-            assert parallel.results == serial.results, chunk_size
-
     def test_jobs_kwarg_matches_serial_default(self):
         default = run_campaign(SMALL_SPEC, SMALL_CFG, max_steps=1000)
         explicit = run_campaign(SMALL_SPEC, SMALL_CFG, jobs=2, max_steps=1000)
         assert default.results == explicit.results
-
-    def test_progress_is_monotonic_and_complete(self):
-        calls = []
-        run_campaign(
-            SMALL_SPEC,
-            SMALL_CFG,
-            executor=ParallelExecutor(jobs=2, chunk_size=1),
-            progress=lambda done, total: calls.append((done, total)),
-            max_steps=500,
-        )
-        dones = [d for d, _ in calls]
-        assert dones == sorted(dones)
-        assert calls[-1] == (4, 4)
-        assert all(t == 4 for _, t in calls)
-
-    def test_unpicklable_payload_falls_back_to_serial(self):
-        episodes = [
-            EpisodeSpec(
-                scenario_id="S1",
-                initial_gap=60.0,
-                fault_type=FaultType.NONE,
-                repetition=rep,
-                seed=7 + rep,
-            )
-            for rep in range(2)
-        ]
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            campaign = run_campaign(
-                episodes,
-                InterventionConfig(ml=True),
-                ml_factory=lambda: _DummyMl(),
-                executor=ParallelExecutor(jobs=2),
-                max_steps=200,
-            )
-        assert len(campaign.results) == 2
-
-    def test_unpicklable_payload_in_later_position_falls_back(self):
-        # Campaigns mix arms: probing only tasks[0] would green-light a
-        # list whose lambda ml_factory sits further in and then explode
-        # inside the process pool mid-campaign.  A non-first non-picklable
-        # payload must fall back in-process just like a first one.
-        specs = [
-            EpisodeSpec(
-                scenario_id="S1",
-                initial_gap=60.0,
-                fault_type=FaultType.NONE,
-                repetition=rep,
-                seed=7 + rep,
-            )
-            for rep in range(3)
-        ]
-        tasks = [
-            EpisodeTask.make(spec, InterventionConfig(), max_steps=200)
-            for spec in specs[:2]
-        ] + [
-            EpisodeTask.make(
-                specs[2],
-                InterventionConfig(ml=True),
-                ml_factory=lambda: _DummyMl(),
-                max_steps=200,
-            )
-        ]
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            pooled = ParallelExecutor(jobs=2).run(tasks)
-        serial = SerialExecutor().run(tasks)
-        assert pooled == serial
-
-    def test_single_task_short_circuits_to_serial(self):
-        episodes = [
-            EpisodeSpec(
-                scenario_id="S1",
-                initial_gap=60.0,
-                fault_type=FaultType.NONE,
-                repetition=0,
-                seed=7,
-            )
-        ]
-        serial = run_campaign(
-            episodes, InterventionConfig(), executor=SerialExecutor(), max_steps=200
-        )
-        pooled = run_campaign(
-            episodes,
-            InterventionConfig(),
-            executor=ParallelExecutor(jobs=4),
-            max_steps=200,
-        )
-        assert pooled.results == serial.results
-
-    def test_empty_episode_list(self):
-        campaign = run_campaign(
-            [], InterventionConfig(), executor=ParallelExecutor(jobs=2)
-        )
-        assert campaign.results == []
 
 
 class _DummyMl:
@@ -182,16 +181,10 @@ class TestExecutorConstruction:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            make_executor(jobs=-1)
 
     def test_rejects_nonpositive_chunk_size(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=2, chunk_size=0)
-
-    def test_make_executor_backend_selection(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), ParallelExecutor)
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
