@@ -55,6 +55,7 @@ from repro.analysis.render import format_placeholder
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec, as_episode_list
 from repro.core.cache import (
     campaign_digest,
+    complete_hit,
     read_digest_sidecar,
     resume_entry_path,
 )
@@ -534,12 +535,8 @@ class IncrementalReportEngine:
         if cache is not None:
             # Strict parsed load: a corrupt entry whose line count looked
             # right is discarded here (and deleted by the cache itself).
-            hit = cache.get(digest)
-            if (
-                hit is not None
-                and len(hit) == total
-                and all(r.intervention == label for r in hit)
-            ):
+            hit = complete_hit(cache, digest, total, label)
+            if hit is not None:
                 return CampaignResult(intervention=label, results=hit)
         if self.config.resume_dir:
             path = resume_entry_path(self.config.resume_dir, digest)
@@ -574,12 +571,11 @@ class IncrementalReportEngine:
 
         cache = self._probe_cache()
         if cache is not None:
-            hit = cache.get(self._arm_digest(arm))
-            if hit is not None and len(hit) == self._arm_total(arm):
+            label = arm.interventions.label()
+            hit = complete_hit(cache, self._arm_digest(arm), self._arm_total(arm), label)
+            if hit is not None:
                 self.config._say("  (cache hit — skipping training and execution)")
-                return CampaignResult(
-                    intervention=arm.interventions.label(), results=hit
-                )
+                return CampaignResult(intervention=label, results=hit)
         baseline = load_or_train_cached(TrainerConfig())
         return _run_report_campaign(
             self.config,

@@ -69,6 +69,7 @@ from repro.core.cache import (
     default_cache,
     resume_file_for,
 )
+from repro.core.executor import ExecutionPolicy
 from repro.core.experiment import CampaignResult, run_campaign
 from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
@@ -94,18 +95,9 @@ class ReportConfig:
         include_ml: include the ML baseline row (requires/uses the cached
             LSTM; training is triggered if no cache exists).
         reaction_times: Table VII sweep points.
-        jobs: worker processes per campaign (None defers to the
-            ``REPRO_JOBS`` environment variable, then serial); results are
-            bit-identical across worker counts.
-        executor: executor name for every report campaign (``repro report
-            --executor``): ``"serial"``, ``"parallel"``, or ``"batch"``
-            (vectorized lockstep, ML arm included; bit-identical
-            results).  ``"batch"`` composes with ``jobs > 1`` into the
-            batch×jobs hybrid — lane shards across workers, batch engine
-            inside each.  ``None`` defers to ``jobs``.
-        lanes: peak lockstep lane count for ``executor="batch"`` (``repro
-            report --lanes``); ``None`` defers to the ``REPRO_BATCH_LANES``
-            environment variable, then uncapped.
+        execution: how every report campaign executes (``repro report
+            --executor/--jobs/--lanes``), in-process or on each fleet
+            worker; results are bit-identical under every policy.
         cache_dir: campaign result cache directory (None defers to the
             ``REPRO_CACHE_DIR`` environment variable, then no caching).
             Cached campaigns — including the ML arm, keyed by its trainer
@@ -134,9 +126,7 @@ class ReportConfig:
     seed: int = 2025
     include_ml: bool = False
     reaction_times: tuple = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
-    jobs: Optional[int] = None
-    executor: Optional[str] = None
-    lanes: Optional[int] = None
+    execution: ExecutionPolicy = ExecutionPolicy()
     cache_dir: Optional[str] = None
     resume_dir: Optional[str] = None
     extra_families: tuple = ()
@@ -202,18 +192,16 @@ def _run_report_campaign(
     """
     cache = config.cache()
     if config.backend:
-        from repro.core.scheduler import dispatch_campaign
+        from repro.core.scheduler import dispatch_campaign, make_backend
 
         return dispatch_campaign(
             campaign,
             interventions,
-            backend=config.backend,
-            workers=config.workers,
+            backend=make_backend(
+                config.backend, workers=config.workers, execution=config.execution
+            ),
             workdir=config.workdir,
             ml_factory=ml_factory,
-            jobs=config.jobs,
-            executor=config.executor,
-            lanes=config.lanes,
             cache=cache if cache is not None else False,
             log=config._say,
         )
@@ -226,9 +214,7 @@ def _run_report_campaign(
         campaign,
         interventions,
         ml_factory=ml_factory,
-        jobs=config.jobs,
-        executor=config.executor,
-        lanes=config.lanes,
+        executor=config.execution.resolve(),
         cache=cache if cache is not None else False,
         resume_path=resume_path,
     )

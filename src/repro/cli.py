@@ -150,10 +150,10 @@ from repro.core.cache import (
 )
 from repro.core.executor import (
     EXECUTOR_NAMES,
+    ExecutionPolicy,
     PhaseProfile,
     default_batch_lanes,
     default_jobs,
-    resolve_executor,
 )
 from repro.core.experiment import merge_shards, run_campaign
 from repro.core.scheduler import (
@@ -207,7 +207,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """``--jobs`` / ``--executor`` / ``--lanes``: one ExecutionPolicy."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -216,9 +217,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         help="worker processes for campaign execution "
         "(default: REPRO_JOBS env var, then serial)",
     )
-
-
-def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         choices=EXECUTOR_NAMES,
@@ -236,6 +234,18 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="peak lockstep lane count for '--executor batch' "
         "(default: REPRO_BATCH_LANES env var, then uncapped)",
+    )
+
+
+def _execution_from_args(args) -> ExecutionPolicy:
+    """The ``--executor``/``--jobs``/``--lanes`` flags as one policy.
+
+    Commands without the flags (``report-status``) get the default.
+    """
+    return ExecutionPolicy(
+        executor=getattr(args, "executor", None),
+        jobs=getattr(args, "jobs", None),
+        lanes=getattr(args, "lanes", None),
     )
 
 
@@ -376,9 +386,7 @@ def _report_config_from_args(args, log=None) -> ReportConfig:
         repetitions=args.reps,
         seed=args.seed,
         include_ml=args.ml,
-        jobs=getattr(args, "jobs", None),
-        executor=getattr(args, "executor", None),
-        lanes=getattr(args, "lanes", None),
+        execution=_execution_from_args(args),
         cache_dir=getattr(args, "cache_dir", None),
         resume_dir=getattr(args, "resume", None),
         extra_families=families,
@@ -391,9 +399,8 @@ def _report_config_from_args(args, log=None) -> ReportConfig:
 
 
 def _add_grid_persistence_flags(parser: argparse.ArgumentParser) -> None:
-    """``--jobs`` / ``--resume DIR`` / ``--cache-dir`` for grid commands."""
-    _add_jobs_flag(parser)
-    _add_executor_flag(parser)
+    """Execution flags, ``--cache-dir`` and ``--resume DIR`` for grid commands."""
+    _add_execution_flags(parser)
     _add_cache_flag(parser)
     parser.add_argument(
         "--resume",
@@ -558,11 +565,7 @@ def _print_profile(profile: PhaseProfile) -> None:
 
 def _persistence_kwargs(args, campaign, interventions, ml_token=None) -> dict:
     """``run_campaign`` keyword arguments from grid-command flags."""
-    kwargs = {
-        "jobs": args.jobs,
-        "executor": getattr(args, "executor", None),
-        "lanes": getattr(args, "lanes", None),
-    }
+    kwargs = {"executor": _execution_from_args(args).resolve()}
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
         kwargs["cache"] = CampaignCache(cache_dir)
@@ -720,9 +723,7 @@ def _backend_kwargs(args) -> dict:
     backend = make_backend(
         args.backend,
         workers=args.workers,
-        jobs=args.jobs,
-        executor=args.executor,
-        lanes=args.lanes,
+        execution=_execution_from_args(args),
         command_template=args.ssh_command,
     )
     return {"backend": backend, "shards": args.shards, "workdir": args.workdir}
@@ -786,8 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume into --output: skip the episodes its valid JSONL "
         "prefix already records and run only the remainder",
     )
-    _add_jobs_flag(camp)
-    _add_executor_flag(camp)
+    _add_execution_flags(camp)
     camp.add_argument(
         "--profile",
         action="store_true",
@@ -811,8 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="merged campaign JSONL path (default: dispatch.jsonl)",
     )
-    _add_jobs_flag(dis)
-    _add_executor_flag(dis)
+    _add_execution_flags(dis)
     _add_cache_flag(dis)
     _add_backend_flags(dis, default_backend="subprocess")
     _add_dispatch_tuning_flags(dis)
@@ -828,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-spec JSON written by the scheduler "
         "(repro.core.scheduler.write_job_spec)",
     )
-    _add_jobs_flag(wk)
-    _add_executor_flag(wk)
+    _add_execution_flags(wk)
 
     ca = sub.add_parser(
         "cache",
@@ -1138,21 +1136,11 @@ def _run(args) -> int:
             f"running {len(episodes)} episodes under {cfg.label()}{shard_note} ...",
             file=sys.stderr,
         )
-        profile = None
-        executor = args.executor
-        if getattr(args, "profile", False):
-            # Resolve to a concrete in-process backend now so a parallel
-            # selection fails before any episode runs.
-            profile = PhaseProfile()
-            executor = resolve_executor(
-                args.executor, jobs=args.jobs, lanes=args.lanes, profile=profile
-            )
+        profile = PhaseProfile() if args.profile else None
         campaign = run_campaign(
             episodes,
             cfg,
-            jobs=args.jobs,
-            executor=executor,
-            lanes=args.lanes,
+            executor=_execution_from_args(args).resolve(profile),
             cache=cache,
             resume_path=output if args.resume else None,
             progress=progress if episodes else None,
@@ -1196,9 +1184,7 @@ def _run(args) -> int:
             job.episodes,
             job.interventions,
             ml_factory=ml_factory,
-            jobs=args.jobs,
-            executor=args.executor,
-            lanes=args.lanes,
+            executor=_execution_from_args(args).resolve(),
             resume_path=job.output,
             # Cache policy belongs to the scheduler, which resolved it (env
             # included) at dispatch time: a null cache_dir means caching is

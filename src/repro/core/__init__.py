@@ -23,6 +23,7 @@ from repro.core.metrics import EpisodeResult, aggregate, load_results, save_resu
 from repro.core.platform import EpisodeTrace, SimulationPlatform
 from repro.core.executor import (
     CampaignExecutor,
+    ExecutionPolicy,
     ParallelExecutor,
     SerialExecutor,
     available_cores,
@@ -67,6 +68,7 @@ __all__ = [
     "EpisodeTrace",
     "SimulationPlatform",
     "CampaignExecutor",
+    "ExecutionPolicy",
     "ParallelExecutor",
     "SerialExecutor",
     "available_cores",

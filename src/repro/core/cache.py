@@ -302,6 +302,22 @@ class CacheBackend(abc.ABC):
         return f"{type(self).__name__}(entries={len(self)})"
 
 
+def complete_hit(
+    cache: CacheBackend, key: str, total: int, label: str
+) -> Optional[List[EpisodeResult]]:
+    """The entry for ``key`` if it may stand in for running the campaign.
+
+    The one rule for accepting a cache hit: the entry holds exactly
+    ``total`` records and every record carries the campaign's
+    intervention ``label``.  Anything else is a miss, so an entry
+    written under this key by another arm is never served as this one.
+    """
+    hit = cache.get(key)
+    if hit is None or len(hit) != total or any(r.intervention != label for r in hit):
+        return None
+    return hit
+
+
 class DirectoryCacheBackend(CacheBackend):
     """A directory of completed campaigns keyed by content digest.
 

@@ -35,12 +35,17 @@ mid-campaign — use the picklable
 :class:`repro.ml.mitigation.MitigationFactory` (which carries the trained
 weights) instead of a lambda so ML campaigns dispatch like the rest.
 
-:func:`resolve_executor` is the one way from knobs (an
-:data:`EXECUTOR_NAMES` name, ``jobs``, ``lanes``) to an executor, and
-:func:`check_knobs` the one validation of those knobs.  ``jobs``
-defaults to the ``REPRO_JOBS`` environment variable (see
+:class:`ExecutionPolicy` carries the execution knobs (an
+:data:`EXECUTOR_NAMES` name, ``jobs``, ``lanes``) from a CLI flag or a
+library call down to a fleet worker's command line: validated once when
+it is built (by :func:`check_knobs`, the one validation of those
+knobs), resolved to an executor by :meth:`ExecutionPolicy.resolve`, and
+turned back into ``repro worker`` flags by
+:meth:`ExecutionPolicy.worker_args`.  ``resolve`` is the one place the
+environment defaults apply: ``jobs`` falls back to ``REPRO_JOBS`` (see
 :func:`default_jobs`), so campaigns parallelise without touching call
-sites: ``REPRO_JOBS=8 python -m repro table6``.
+sites (``REPRO_JOBS=8 python -m repro table6``), and the batch lane cap
+to ``REPRO_BATCH_LANES``.
 """
 
 from __future__ import annotations
@@ -256,10 +261,6 @@ class SerialExecutor(CampaignExecutor):
             step timing into (``repro campaign --profile``); results are
             unaffected.
     """
-
-    #: Class-level default so subclasses with bare ``__init__``
-    #: overrides (test doubles predating profiling) stay unprofiled.
-    profile: Optional[PhaseProfile] = None
 
     def __init__(self, profile: Optional[PhaseProfile] = None) -> None:
         self.profile = profile
@@ -664,19 +665,19 @@ def default_batch_lanes() -> Optional[int]:
 EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "parallel", "batch")
 
 
-def check_knobs(
-    executor: "str | CampaignExecutor | None" = None, **counts: Optional[int]
-) -> None:
+def check_knobs(executor: Optional[str] = None, **counts: Optional[int]) -> None:
     """The one validation of execution knobs, wherever they are accepted.
 
-    A name ``executor`` must be in :data:`EXECUTOR_NAMES` (an instance or
-    ``None`` passes); each ``counts`` knob (``jobs``, ``lanes``,
-    ``workers``, ``chunk_size``) must be ``None`` (its default) or >= 1.
+    ``executor`` must be ``None`` or an :data:`EXECUTOR_NAMES` name (a
+    ready :class:`CampaignExecutor` instance is refused: only
+    ``run_campaign(executor=...)`` takes one); each ``counts`` knob
+    (``jobs``, ``lanes``, ``workers``, ``chunk_size``) must be ``None``
+    (its default) or >= 1.
 
     Raises:
         ValueError: naming the offending argument.
     """
-    if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
+    if executor is not None and executor not in EXECUTOR_NAMES:
         raise ValueError(
             f"unknown executor {executor!r}; expected one of "
             f"{', '.join(EXECUTOR_NAMES)}"
@@ -686,63 +687,69 @@ def check_knobs(
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def resolve_executor(
-    executor: "str | CampaignExecutor | None",
-    jobs: Optional[int] = None,
-    lanes: Optional[int] = None,
-    profile: Optional[PhaseProfile] = None,
-) -> CampaignExecutor:
-    """Resolve an executor argument (name, instance or ``None``).
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """How a campaign's episodes execute: executor name, workers, lane cap.
 
-    Args:
-        executor: a :data:`EXECUTOR_NAMES` name, a ready
-            :class:`CampaignExecutor` instance (returned unchanged), or
-            ``None``: serial for one worker, parallel for more.
-        jobs: worker count for every name but ``"serial"``; ``None``
-            defers to :func:`default_jobs` (the ``REPRO_JOBS``
-            environment variable, then 1).  ``executor="batch"`` with
-            more than one worker resolves to the
-            :class:`BatchParallelExecutor` hybrid (lane shards across
-            workers, batch engine inside each, bit-identical results).
-        lanes: lockstep lane cap for the ``"batch"`` case (per worker
-            under the hybrid); ``None`` defers to
-            :func:`default_batch_lanes` (the ``REPRO_BATCH_LANES``
-            environment variable, then uncapped).
-        profile: a :class:`PhaseProfile` to accumulate per-phase timing
-            into.  Only the in-process backends can time the step loop:
-            resolving to the parallel executor or the batch×jobs hybrid
-            with a profile raises.
+    Built once (a CLI command builds it from ``--executor``/``--jobs``/
+    ``--lanes``) and validated when built; backends, the report config
+    and fleet worker command lines carry it whole.  ``None`` fields defer
+    to the environment, read only by :meth:`resolve`.
 
-    Raises:
-        ValueError: from :func:`check_knobs` — an unknown executor name,
-            or ``jobs``/``lanes`` below 1, whatever the name — or on
-            ``profile`` with a multi-process backend.
+    Attributes:
+        executor: an :data:`EXECUTOR_NAMES` name, or ``None``: serial for
+            one worker, parallel for more.
+        jobs: worker process count; ``None`` defers to ``REPRO_JOBS``
+            (then 1).  ``"serial"`` ignores it; ``"batch"`` with more
+            than one worker is the :class:`BatchParallelExecutor` hybrid.
+        lanes: lockstep lane cap of the batch engine (per worker under
+            the hybrid); ``None`` defers to ``REPRO_BATCH_LANES`` (then
+            uncapped).  The other executors ignore it.
     """
-    check_knobs(executor, jobs=jobs, lanes=lanes)
-    if executor is not None and not isinstance(executor, str):
-        return executor
-    if jobs is None and executor != "serial":
-        jobs = default_jobs()
-    if executor is None:
-        executor = "parallel" if jobs > 1 else "serial"
-    if executor == "serial":
-        return SerialExecutor(profile=profile)
-    if executor == "parallel":
-        if profile is not None:
+
+    executor: Optional[str] = None
+    jobs: Optional[int] = None
+    lanes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_knobs(self.executor, jobs=self.jobs, lanes=self.lanes)
+
+    def resolve(self, profile: Optional[PhaseProfile] = None) -> CampaignExecutor:
+        """The executor this policy selects, environment defaults applied.
+
+        Args:
+            profile: a :class:`PhaseProfile` to accumulate per-phase
+                timing into; only an in-process executor can time steps.
+
+        Raises:
+            ValueError: a malformed environment default, or ``profile``
+                with an executor that runs episodes in worker processes.
+        """
+        jobs = self.jobs
+        if jobs is None and self.executor != "serial":
+            jobs = default_jobs()
+        name = self.executor or ("parallel" if jobs > 1 else "serial")
+        pooled = name == "parallel" or (name == "batch" and jobs > 1)
+        if profile is not None and pooled:
             raise ValueError(
-                "per-phase profiling times the step loop in-process; "
-                "the parallel executor runs episodes in worker "
-                "processes — use the serial or batch executor"
+                f"--profile times the step loop in one process, but the "
+                f"{name} executor at --jobs {jobs} runs episodes in worker "
+                "processes — drop --profile, or run the serial or batch "
+                "executor with --jobs 1"
             )
-        return ParallelExecutor(jobs=jobs)
-    if lanes is None:
-        lanes = default_batch_lanes()
-    if jobs == 1:
-        return BatchExecutor(lanes=lanes, profile=profile)
-    if profile is not None:
-        raise ValueError(
-            "--profile times the step loop in one process, but "
-            "--jobs > 1 shards the batch executor across worker "
-            "processes — drop --profile or run with --jobs 1"
-        )
-    return BatchParallelExecutor(jobs=jobs, lanes=lanes)
+        if name == "serial":
+            return SerialExecutor(profile=profile)
+        if name == "parallel":
+            return ParallelExecutor(jobs=jobs)
+        lanes = self.lanes if self.lanes is not None else default_batch_lanes()
+        if jobs == 1:
+            return BatchExecutor(lanes=lanes, profile=profile)
+        return BatchParallelExecutor(jobs=jobs, lanes=lanes)
+
+    def worker_args(self) -> List[str]:
+        """This policy as ``repro worker`` flags; unset fields stay unset,
+        so the worker applies its own environment defaults."""
+        flags = (("--jobs", self.jobs), ("--executor", self.executor),
+                 ("--lanes", self.lanes))
+        return [arg for flag, value in flags if value is not None
+                for arg in (flag, str(value))]

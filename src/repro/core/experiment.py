@@ -10,8 +10,10 @@ Execution architecture
 ----------------------
 
 Episodes are dispatched through the pluggable executor layer in
-:mod:`repro.core.executor`, resolved from ``executor``, ``jobs`` and
-``lanes`` by :func:`~repro.core.executor.resolve_executor`:
+:mod:`repro.core.executor`.  ``run_campaign``'s ``executor``, ``jobs``
+and ``lanes`` form one :class:`~repro.core.executor.ExecutionPolicy`,
+whose :meth:`~repro.core.executor.ExecutionPolicy.resolve` picks the
+executor:
 
 * ``run_campaign(..., jobs=1)`` (the default) uses the in-process
   :class:`~repro.core.executor.SerialExecutor`;
@@ -25,7 +27,9 @@ Episodes are dispatched through the pluggable executor layer in
   ``REPRO_BATCH_LANES`` environment variables (then 1 / uncapped), so
   existing call sites parallelise without code changes;
 * a ready executor instance as ``executor=`` overrides all of the above
-  (used by tests and custom backends).
+  (used by tests and custom backends); ``run_campaign`` is the one entry
+  point that takes one.  Below it, the scheduler's shard primitive and
+  worker backends take the resolved executor or the policy.
 
 Every executor returns results in enumeration order, **bit-identical**
 across executors for the same spec.
@@ -72,7 +76,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
 from repro.core.cache import CacheBackend
-from repro.core.executor import CampaignExecutor
+from repro.core.executor import CampaignExecutor, ExecutionPolicy
 from repro.core.metrics import (
     AggregateStats,
     EpisodeResult,
@@ -286,15 +290,11 @@ def run_campaign(
     plan = CampaignPlan.build(
         campaign, interventions, shards=1, ml_factory=ml_factory, **platform_kwargs
     )
+    if executor is None or isinstance(executor, str):
+        executor = ExecutionPolicy(executor, jobs, lanes).resolve()
     (job,) = plan.jobs
     return execute_shard(
-        job,
-        jobs=jobs,
-        executor=executor,
-        lanes=lanes,
-        progress=progress,
-        resume_path=resume_path,
-        cache=cache,
+        job, executor, progress=progress, resume_path=resume_path, cache=cache
     )
 
 

@@ -52,7 +52,7 @@ import sys
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.campaign import (
@@ -66,6 +66,7 @@ from repro.core.cache import (
     campaign_digest,
     canonical_episode,
     canonical_interventions,
+    complete_hit,
     default_cache,
     episode_from_canonical,
     factory_token,
@@ -76,9 +77,9 @@ from repro.core.cache import (
 from repro.core.executor import (
     CampaignExecutor,
     EpisodeTask,
+    ExecutionPolicy,
     available_cores,
     check_knobs,
-    resolve_executor,
 )
 from repro.core.experiment import (
     CampaignResult,
@@ -296,9 +297,7 @@ def _cacheable(job_or_plan) -> bool:
 
 def execute_shard(
     job: ShardJob,
-    jobs: Optional[int] = None,
-    executor: Union[str, CampaignExecutor, None] = None,
-    lanes: Optional[int] = None,
+    executor: CampaignExecutor,
     progress: Optional[ProgressCallback] = None,
     resume_path: Optional[PathLike] = None,
     cache: Union[CacheBackend, None, bool] = None,
@@ -313,15 +312,8 @@ def execute_shard(
 
     Args:
         job: the shard to execute.
-        jobs: worker process count; ``None`` defers to the ``REPRO_JOBS``
-            environment variable (then serial).  Ignored when ``executor``
-            is given.
-        executor: explicit execution backend — an
-            :data:`~repro.core.executor.EXECUTOR_NAMES` name such as
-            ``"batch"`` or a ready instance (overrides ``jobs``).
-        lanes: peak lockstep lane count for ``executor="batch"``; ``None``
-            defers to the ``REPRO_BATCH_LANES`` environment variable
-            (then uncapped).  Ignored by the other executors.
+        executor: runs the episodes that are neither cached nor resumed
+            (see :meth:`~repro.core.executor.ExecutionPolicy.resolve`).
         progress: optional ``(done, total)`` callback over this shard's
             episodes; under resume, ``done`` starts at the number of
             episodes already on disk.
@@ -373,12 +365,8 @@ def execute_shard(
 
     # ---- cache consultation --------------------------------------------
     if key is not None:
-        hit = cache.get(key)
-        if (
-            hit is not None
-            and len(hit) == total
-            and all(r.intervention == label for r in hit)
-        ):
+        hit = complete_hit(cache, key, total, label)
+        if hit is not None:
             if progress is not None:
                 progress(total, total)
             if resume_path is not None:
@@ -402,7 +390,6 @@ def execute_shard(
     skipped = len(prior)
     if progress is not None and skipped:
         progress(skipped, total)
-    backend = resolve_executor(executor, jobs, lanes)
 
     new: List[EpisodeResult] = []
     if resume_path is None:
@@ -411,7 +398,7 @@ def execute_shard(
             if progress is None
             else (lambda done, _remaining_total: progress(skipped + done, total))
         )
-        new = backend.run(tasks, progress=offset_progress)
+        new = executor.run(tasks, progress=offset_progress)
     else:
         # Rewrite the validated prefix once (dropping any truncated tail),
         # then stream completed episodes to the file batch by batch: an
@@ -425,7 +412,7 @@ def execute_shard(
         save_results(prior, rewrite_tmp)
         os.replace(rewrite_tmp, resume_path)
         write_digest_sidecar(resume_path, resume_digest)
-        batch_size = backend.stream_width(len(tasks))
+        batch_size = executor.stream_width(len(tasks))
         for start in range(0, len(tasks), batch_size):
             batch = tasks[start : start + batch_size]
             done_before = skipped + len(new)
@@ -434,7 +421,7 @@ def execute_shard(
                 if progress is None
                 else (lambda done, _t, _base=done_before: progress(_base + done, total))
             )
-            batch_results = backend.run(batch, progress=batch_progress)
+            batch_results = executor.run(batch, progress=batch_progress)
             new.extend(batch_results)
             save_results(batch_results, resume_path, append=True)
 
@@ -661,9 +648,9 @@ class InProcessBackend(WorkerBackend):
 
     The reference backend: zero dispatch overhead beyond the shard files
     themselves, and the one ``run_campaign`` degenerates to.  ``workers``
-    maps to the executor's process-pool size (``jobs``), so
-    ``--backend in-process --workers 4`` parallelises episodes exactly
-    like ``--jobs 4``.
+    stands in for the policy's unset ``jobs`` (the executor's process-pool
+    size), so ``--backend in-process --workers 4`` parallelises episodes
+    exactly like ``--jobs 4``, and an explicit ``--jobs`` wins.
     """
 
     name = "in-process"
@@ -671,14 +658,12 @@ class InProcessBackend(WorkerBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        jobs: Optional[int] = None,
-        executor: Union[str, CampaignExecutor, None] = None,
-        lanes: Optional[int] = None,
+        execution: ExecutionPolicy = ExecutionPolicy(),
     ) -> None:
-        check_knobs(executor, workers=workers, jobs=jobs, lanes=lanes)
-        self.jobs = jobs if jobs is not None else workers
-        self.executor = executor
-        self.lanes = lanes
+        check_knobs(workers=workers)
+        if execution.jobs is None and workers is not None:
+            execution = replace(execution, jobs=workers)
+        self.execution = execution
 
     def run(
         self,
@@ -688,6 +673,7 @@ class InProcessBackend(WorkerBackend):
         progress: Optional[ProgressCallback] = None,
         log: Optional[LogCallback] = None,
     ) -> List[str]:
+        executor = self.execution.resolve()
         paths: List[str] = []
         done = 0
         for job in plan.jobs:
@@ -706,9 +692,7 @@ class InProcessBackend(WorkerBackend):
                 )
                 execute_shard(
                     job,
-                    jobs=self.jobs,
-                    executor=self.executor,
-                    lanes=self.lanes,
+                    executor,
                     progress=sub_progress,
                     resume_path=path,
                     cache=cache if cache is not None else False,
@@ -747,14 +731,14 @@ class SubprocessFleetBackend(WorkerBackend):
     Args:
         workers: concurrent worker processes (default: up to 2, bounded
             by the cores this process may use).
-        jobs: per-worker process-pool size (``repro worker --jobs``).
         python: interpreter for the worker command (default: this one).
         worker_args: extra arguments appended to every worker command.
         max_retries: relaunch budget per shard after the first attempt.
         poll_interval: seconds between liveness polls of the fleet
             (must be positive — zero would busy-spin the poll loop).
-        executor: per-worker executor name (``repro worker --executor``),
-            e.g. ``"batch"``.
+        execution: how each worker executes its shard, passed on its
+            command line (see
+            :meth:`~repro.core.executor.ExecutionPolicy.worker_args`).
     """
 
     name = "subprocess"
@@ -762,17 +746,15 @@ class SubprocessFleetBackend(WorkerBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        jobs: Optional[int] = None,
         python: Optional[str] = None,
         worker_args: Sequence[str] = (),
         max_retries: int = 2,
         poll_interval: float = 0.05,
-        executor: Optional[str] = None,
-        lanes: Optional[int] = None,
+        execution: ExecutionPolicy = ExecutionPolicy(),
     ) -> None:
         if workers is None:
             workers = max(1, min(2, available_cores()))
-        check_knobs(executor, workers=workers, jobs=jobs, lanes=lanes)
+        check_knobs(workers=workers)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if poll_interval <= 0.0:
@@ -781,13 +763,11 @@ class SubprocessFleetBackend(WorkerBackend):
                 f"liveness polls), got {poll_interval}"
             )
         self.workers = workers
-        self.jobs = jobs
         self.python = python
         self.worker_args = tuple(worker_args)
         self.max_retries = max_retries
         self.poll_interval = poll_interval
-        self.executor = executor
-        self.lanes = lanes
+        self.execution = execution
 
     def default_shard_count(self) -> int:
         return self.workers
@@ -802,14 +782,7 @@ class SubprocessFleetBackend(WorkerBackend):
             "--spec",
             spec_path,
         ]
-        if self.jobs is not None:
-            command += ["--jobs", str(self.jobs)]
-        if self.executor is not None:
-            command += ["--executor", self.executor]
-        if self.lanes is not None:
-            command += ["--lanes", str(self.lanes)]
-        command += list(self.worker_args)
-        return command
+        return command + self.execution.worker_args() + list(self.worker_args)
 
     def run(
         self,
@@ -1131,14 +1104,10 @@ def dispatch_campaign(
     campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
     interventions: InterventionConfig,
     backend: Union[str, WorkerBackend] = "in-process",
-    workers: Optional[int] = None,
     shards: Optional[int] = None,
     workdir: Optional[PathLike] = None,
     ml_factory: Optional[Callable[[], object]] = None,
     cache: Union[CacheBackend, None, bool] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[str] = None,
-    lanes: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     log: Optional[LogCallback] = None,
     **platform_kwargs,
@@ -1153,9 +1122,10 @@ def dispatch_campaign(
     Args:
         campaign: a :class:`CampaignSpec` or pre-enumerated episode list.
         interventions: the safety configuration under test.
-        backend: a registered backend name (``in-process``,
-            ``subprocess``, ``ssh``) or a :class:`WorkerBackend` instance.
-        workers: worker count forwarded to a by-name backend.
+        backend: a :class:`WorkerBackend` instance, or a registered
+            backend name (``in-process``, ``subprocess``, ``ssh``) built
+            with its defaults — :func:`make_backend` takes the worker
+            count and the :class:`~repro.core.executor.ExecutionPolicy`.
         shards: how many shard jobs to plan (default: the backend's
             ``default_shard_count`` — one per worker for fleets).
         workdir: where shard JSONLs, spec files and worker logs live.
@@ -1169,12 +1139,6 @@ def dispatch_campaign(
             written through after collection; shard-level entries land
             under each shard's own digest.  ``None``/``True`` defer to
             ``REPRO_CACHE_DIR``; ``False`` disables.
-        jobs: per-worker executor parallelism forwarded to a by-name
-            backend.
-        executor: per-worker executor name (e.g. ``"batch"``) forwarded
-            to a by-name backend.
-        lanes: per-worker peak lockstep lane count for the batch executor,
-            forwarded to a by-name backend.
         progress: ``(done episodes, total)`` callback; fleet backends
             report at shard granularity.
         log: line sink for dispatch narration (worker launches, retries).
@@ -1184,9 +1148,7 @@ def dispatch_campaign(
         The full-campaign :class:`CampaignResult`, in enumeration order.
     """
     if isinstance(backend, str):
-        backend = make_backend(
-            backend, workers=workers, jobs=jobs, executor=executor, lanes=lanes
-        )
+        backend = make_backend(backend)
     plan = CampaignPlan.build(
         campaign,
         interventions,
@@ -1197,12 +1159,8 @@ def dispatch_campaign(
     cache = resolve_cache(cache)
     label = interventions.label()
     if cache is not None and _cacheable(plan):
-        hit = cache.get(plan.digest())
-        if (
-            hit is not None
-            and len(hit) == plan.total
-            and all(r.intervention == label for r in hit)
-        ):
+        hit = complete_hit(cache, plan.digest(), plan.total, label)
+        if hit is not None:
             if log is not None:
                 log(f"campaign {plan.digest()[:16]}…: cache hit, zero episodes")
             if progress is not None:

@@ -4,7 +4,7 @@ The contract under test is the one the golden-digest suite cannot see:
 ``executor="batch"`` must produce byte-identical episode results — and
 therefore identical aggregate metrics — to the serial reference for
 every registered scenario family, every fault mode, and any lane width,
-while :func:`resolve_executor` keeps the name-based selection honest.
+while :class:`ExecutionPolicy` keeps the name-based selection honest.
 """
 
 import numpy as np
@@ -19,9 +19,9 @@ from repro.core.executor import (
     BatchExecutor,
     BatchParallelExecutor,
     EpisodeTask,
+    ExecutionPolicy,
     ParallelExecutor,
     SerialExecutor,
-    resolve_executor,
 )
 from repro.core.experiment import run_campaign
 from repro.core.metrics import aggregate
@@ -234,57 +234,81 @@ class TestBatchExecutorConstruction:
 
 
 class TestResolveExecutor:
+    """``ExecutionPolicy``: validated when built, resolved to an executor."""
+
     def test_names_resolve_to_backends(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("parallel", jobs=2), ParallelExecutor)
-        assert isinstance(resolve_executor("batch"), BatchExecutor)
+        assert isinstance(ExecutionPolicy("serial").resolve(), SerialExecutor)
+        assert isinstance(
+            ExecutionPolicy("parallel", jobs=2).resolve(), ParallelExecutor
+        )
+        assert isinstance(ExecutionPolicy("batch").resolve(), BatchExecutor)
 
     def test_none_defers_to_jobs(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor(None, jobs=3), ParallelExecutor)
+        assert isinstance(ExecutionPolicy().resolve(), SerialExecutor)
+        assert isinstance(ExecutionPolicy(jobs=3).resolve(), ParallelExecutor)
 
     def test_instance_passes_through(self):
-        backend = BatchExecutor(lanes=4)
-        assert resolve_executor(backend) is backend
+        # run_campaign is the one entry point that takes a ready instance
+        # (the policy holds names only).
+        seen = []
+
+        class Spy(SerialExecutor):
+            def run(self, tasks, progress=None):
+                seen.append(len(tasks))
+                return super().run(tasks, progress)
+
+        spec = CampaignSpec(
+            fault_types=[FaultType.NONE], scenario_ids=("S1",),
+            initial_gaps=(60.0,), repetitions=1, seed=3,
+        )
+        run_campaign(spec, InterventionConfig(), executor=Spy(), cache=False,
+                     max_steps=20)
+        assert seen == [1]
 
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ValueError, match="serial.*parallel.*batch"):
-            resolve_executor("warp")
+            ExecutionPolicy("warp")
 
     @pytest.mark.parametrize("knob", ["jobs", "lanes"])
     @pytest.mark.parametrize("name", ["serial", "parallel", "batch", None])
     def test_nonpositive_counts_rejected_for_every_name(self, name, knob):
-        # One validator runs before any name dispatch: a knob the chosen
+        # One validator runs when the policy is built: a knob the chosen
         # executor would ignore is still refused, naming the argument.
         with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
-            resolve_executor(name, **{knob: 0})
+            ExecutionPolicy(name, **{knob: 0})
 
     def test_names_registry(self):
         assert EXECUTOR_NAMES == ("serial", "parallel", "batch")
 
     def test_batch_with_jobs_routes_to_hybrid(self):
-        backend = resolve_executor("batch", jobs=3, lanes=8)
+        backend = ExecutionPolicy("batch", jobs=3, lanes=8).resolve()
         assert isinstance(backend, BatchParallelExecutor)
         assert backend.jobs == 3
         assert backend.lanes == 8
 
     def test_batch_with_one_job_stays_single_process(self):
-        assert isinstance(resolve_executor("batch", jobs=1), BatchExecutor)
-        assert isinstance(resolve_executor("batch"), BatchExecutor)
+        assert isinstance(ExecutionPolicy("batch", jobs=1).resolve(), BatchExecutor)
+        assert isinstance(ExecutionPolicy("batch").resolve(), BatchExecutor)
+
+    def test_serial_never_reads_repro_jobs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "zero")
+        assert isinstance(ExecutionPolicy("serial").resolve(), SerialExecutor)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            ExecutionPolicy().resolve()
 
     def test_batch_jobs_honours_repro_jobs_env(self, monkeypatch):
         # The historical footgun: REPRO_JOBS silently ignored by
         # --executor batch.  It must route to the hybrid now.
         monkeypatch.setenv("REPRO_JOBS", "2")
-        assert isinstance(resolve_executor("batch"), BatchParallelExecutor)
+        assert isinstance(ExecutionPolicy("batch").resolve(), BatchParallelExecutor)
 
     def test_profile_with_batch_jobs_refused_naming_both_flags(self):
         from repro.core.executor import PhaseProfile
 
         with pytest.raises(ValueError, match=r"--profile.*--jobs"):
-            resolve_executor("batch", jobs=2, profile=PhaseProfile())
+            ExecutionPolicy("batch", jobs=2).resolve(PhaseProfile())
         # jobs=1 keeps profiling supported (in-process batch).
-        backend = resolve_executor("batch", jobs=1, profile=PhaseProfile())
+        backend = ExecutionPolicy("batch", jobs=1).resolve(PhaseProfile())
         assert isinstance(backend, BatchExecutor)
         assert backend.profile is not None
 

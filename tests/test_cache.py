@@ -21,6 +21,7 @@ from repro.attacks.fi import FaultType
 from repro.core.cache import (
     CampaignCache,
     campaign_digest,
+    complete_hit,
     default_cache,
     factory_token,
 )
@@ -68,6 +69,7 @@ class RefusingExecutor(SerialExecutor):
 
 class CountingExecutor(SerialExecutor):
     def __init__(self):
+        super().__init__()
         self.executed = 0
 
     def run(self, tasks, progress=None):
@@ -273,6 +275,16 @@ class TestCampaignCacheStore:
         with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
             assert cache.get(key) is None
         assert not os.path.exists(path)
+
+    def test_complete_hit_needs_every_record_under_the_label(self, tmp_path):
+        cache = CampaignCache(str(tmp_path))
+        key = campaign_digest(SMALL_SPEC, CFG)
+        records = [EpisodeResult(intervention="none") for _ in range(4)]
+        cache.put(key, records)
+        assert complete_hit(cache, key, 4, "none") == records
+        assert complete_hit(cache, key, 5, "none") is None  # short entry
+        assert complete_hit(cache, key, 4, "driver") is None  # another arm
+        assert complete_hit(cache, "ab" * 32, 4, "none") is None  # miss
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
@@ -515,22 +527,62 @@ class TestReportPipelineCache:
                 cfg8,
             )
 
-        # Every campaign arm must be served from cache: building an executor
-        # (which only happens after a cache miss, in the scheduler's shard
-        # primitive) or training the ML baseline fails the test.  Fig. 5/6
-        # traces run the platform directly and are unaffected.
-        import repro.core.scheduler as scheduler
+        # Every campaign arm must be served from cache: building an
+        # episode's platform (which only happens when an executor runs an
+        # episode) or training the ML baseline fails the test.  Fig. 5/6
+        # traces build their platform directly and are unaffected.
+        import repro.core.executor as executor
         import repro.ml as ml
 
         def boom(*args, **kwargs):
             raise AssertionError("cache miss: campaign execution attempted")
 
-        monkeypatch.setattr(scheduler, "resolve_executor", boom)
+        monkeypatch.setattr(executor, "_build_platform", boom)
         monkeypatch.setattr(ml, "load_or_train_cached", boom)
 
         text = generate_report(config)
         for marker in ("Table IV", "Table VI", "Table VII", "Table VIII", "ml"):
             assert marker in text, marker
+
+    def test_ml_arm_probe_refuses_another_arms_records(
+        self, tmp_path, monkeypatch
+    ):
+        """The ML arm's pre-training probe applies the one hit rule: a
+        full-length entry labelled ``none`` under the ``table6:ml`` digest
+        is a miss, so the report goes on to load the baseline instead of
+        serving the ``none`` arm's records as the ML row."""
+        from repro.analysis.incremental import IncrementalReportEngine, ReportError
+        from repro.analysis.report import ReportConfig
+        import repro.ml as ml
+
+        config = ReportConfig(
+            repetitions=1, seed=5, include_ml=True, reaction_times=(2.5,),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        engine = IncrementalReportEngine(config)
+        (arm,) = [
+            a for art in engine.artifacts for a in art.arms if a.name == "table6:ml"
+        ]
+        episodes = enumerate_campaign(arm.campaign)
+        config.cache().put(
+            campaign_digest(arm.campaign, arm.interventions, ml_token=arm.ml_token),
+            [
+                EpisodeResult(
+                    scenario_id=e.scenario_id, initial_gap=e.initial_gap,
+                    fault_type=e.fault_type.value, seed=e.seed,
+                    intervention="none",
+                )
+                for e in episodes
+            ],
+        )
+        assert len(episodes) == 36
+
+        def no_training(*args, **kwargs):
+            raise RuntimeError("probe missed: baseline requested")
+
+        monkeypatch.setattr(ml, "load_or_train_cached", no_training)
+        with pytest.raises(ReportError, match="baseline requested"):
+            engine._arm_result(arm)
 
 
 def _tiny_baseline():

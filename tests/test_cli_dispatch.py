@@ -3,7 +3,8 @@
 Covers ``repro dispatch`` (in-process backend end to end, byte-compared
 against ``repro campaign``), ``repro worker`` driven through ``main()``
 on a real spec file, ``repro cache list|verify|gc``, the ``--backend``
-flag on ``campaign``/``report`` (routing plus flag-conflict errors), and
+flag on ``campaign``/``report`` (routing plus flag-conflict errors),
+every command's execution flags reaching one ``ExecutionPolicy``, and
 the environment fail-fast bugfixes: a malformed ``REPRO_CACHE_DIR`` or
 ``REPRO_JOBS`` and an out-of-range ``--shard`` must exit 2 with a
 message naming the culprit — never a traceback.
@@ -17,8 +18,10 @@ import pytest
 from repro.analysis.report import ReportConfig, _run_report_campaign
 from repro.attacks.campaign import CampaignSpec
 from repro.attacks.fi import FaultType
-from repro.cli import build_parser, main
+from repro import cli
+from repro.cli import _report_config_from_args, build_parser, main
 from repro.core.cache import CampaignCache, read_digest_sidecar
+from repro.core.executor import ExecutionPolicy
 from repro.core.scheduler import (
     CampaignPlan,
     SubprocessFleetBackend,
@@ -69,13 +72,6 @@ class TestBatchLanesFlag:
         monkeypatch.setenv("REPRO_BATCH_LANES", "0")
         assert main(["campaign", *GRID]) == 2
         assert "REPRO_BATCH_LANES" in capsys.readouterr().err
-
-    def test_worker_command_forwards_lanes(self):
-        backend = SubprocessFleetBackend(workers=1, executor="batch", lanes=3)
-        command = backend.worker_command("spec.json")
-        assert "--lanes" in command
-        assert command[command.index("--lanes") + 1] == "3"
-        assert command[command.index("--executor") + 1] == "batch"
 
 
 class TestDispatchCommand:
@@ -150,21 +146,82 @@ class TestDispatchCommand:
         assert rc == 2
         assert "--ssh-command" in capsys.readouterr().err
 
-    def test_ssh_command_keeps_executor_jobs_and_lanes(self):
-        from repro.cli import _backend_kwargs
 
-        args = build_parser().parse_args(
-            [
-                "dispatch", *GRID,
-                "--backend", "ssh", "--ssh-command", "ssh h {command}",
-                "--executor", "batch", "--jobs", "2", "--lanes", "8",
-            ]
+class _Stop(Exception):
+    """Raised by the spies once a command has built its policy."""
+
+
+FLAGS = ["--executor", "batch", "--jobs", "2", "--lanes", "3"]
+POLICY = ExecutionPolicy("batch", 2, 3)
+
+
+class TestExecutionFlags:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["episode", "--seed", "3", *FLAGS], POLICY),
+            (["campaign", *GRID, *FLAGS], POLICY),
+            (["campaign", *GRID, "--backend", "subprocess", *FLAGS], POLICY),
+            (["dispatch", *GRID, *FLAGS], POLICY),
+            (["dispatch", *GRID, "--backend", "ssh", "--ssh-command",
+              "ssh h {command}", *FLAGS], POLICY),
+            (["worker", "--spec", "SPEC", *FLAGS], POLICY),
+            (["table4", "--reps", "1", *FLAGS], POLICY),
+            (["table6", "--reps", "1", *FLAGS], POLICY),
+            (["table7", "--reps", "1", *FLAGS], POLICY),
+            (["table8", "--reps", "1", *FLAGS], POLICY),
+            (["report", "--reps", "1", *FLAGS], POLICY),
+            (["report-status", "--reps", "1"], ExecutionPolicy()),
+            (["dispatch", *GRID, "--backend", "in-process", "--workers", "4"],
+             ExecutionPolicy(jobs=4)),
+            (["dispatch", *GRID, "--backend", "in-process", "--workers", "4",
+              "--jobs", "2"], ExecutionPolicy(jobs=2)),
+        ],
+        ids=[
+            "episode", "campaign", "campaign-backend", "dispatch",
+            "dispatch-ssh", "worker", "table4", "table6", "table7", "table8",
+            "report", "report-status", "in-process-workers",
+            "in-process-jobs-win",
+        ],
+    )
+    def test_command_builds_one_policy(self, argv, expected, tmp_path, monkeypatch):
+        """Each command turns its flags into one ExecutionPolicy: the one
+        it resolves, hands its backend, or puts in its ReportConfig."""
+        if argv[0].startswith("report"):
+            config = _report_config_from_args(build_parser().parse_args(argv))
+            assert config.execution == expected
+            return
+        if "SPEC" in argv:
+            plan = CampaignPlan.build(
+                grid_spec(), InterventionConfig(driver=True), max_steps=300
+            )
+            spec_path = str(tmp_path / "job.spec.json")
+            write_job_spec(plan.jobs[0], spec_path, output="out.jsonl")
+            argv = [spec_path if a == "SPEC" else a for a in argv]
+        seen = []
+
+        def stop(value):
+            seen.append(value)
+            raise _Stop
+
+        monkeypatch.setattr(
+            ExecutionPolicy, "resolve", lambda self, profile=None: stop(self)
         )
-        backend = _backend_kwargs(args)["backend"]
-        wrapped = backend.worker_command("spec.json")[-1]
-        assert wrapped.startswith("ssh h ")
-        for flag in ("--executor batch", "--jobs 2", "--lanes 8"):
-            assert flag in wrapped, flag
+        monkeypatch.setattr(
+            cli, "dispatch_campaign", lambda *a, **k: stop(k["backend"])
+        )
+        with pytest.raises(_Stop):
+            main(argv)
+        (policy,) = seen
+        if not isinstance(policy, ExecutionPolicy):
+            backend, policy = policy, policy.execution
+            if isinstance(backend, SubprocessFleetBackend):
+                # The fleet forwards the policy on every worker command line
+                # (wrapped whole by the ssh template).
+                command = backend.worker_command("spec.json")
+                assert "--jobs 2 --executor batch --lanes 3" in " ".join(command)
+                assert backend.name != "ssh" or command[-1].startswith("ssh h ")
+        assert policy == expected
 
 
 class TestWorkerCommand:
@@ -345,8 +402,8 @@ class TestReportBackendRouting:
         calls = {}
 
         def fake_dispatch(campaign, interventions, **kwargs):
-            calls["backend"] = kwargs["backend"]
-            calls["workers"] = kwargs["workers"]
+            calls["backend"] = kwargs["backend"].name
+            calls["workers"] = kwargs["backend"].workers
             from repro.core.experiment import CampaignResult
 
             return CampaignResult(intervention=interventions.label(), results=[])

@@ -148,12 +148,12 @@ class TestIncrementalRun:
         seed_arm(config.cache(), engine_arms(engine)["fault-free"])
 
         # Nothing may execute: every rendered artifact is cache-served.
-        import repro.core.scheduler as scheduler
+        import repro.core.executor as executor
 
         def boom(*args, **kwargs):
             raise AssertionError("incremental render executed episodes")
 
-        monkeypatch.setattr(scheduler, "resolve_executor", boom)
+        monkeypatch.setattr(executor, "_build_platform", boom)
         outcome = engine.run(incremental=True)
         assert set(outcome.rendered_ids) == {"table4", "table5", "fig5", "fig6"}
         assert set(outcome.pending_ids) == {"table6", "table7", "table8"}
@@ -190,12 +190,12 @@ class TestIncrementalRun:
             handle.write('{"not": "an episode"}\n' * 12)  # plausible count
         assert engine.arm_status(arm).state == "cached"  # cheap probe fooled
 
-        import repro.core.scheduler as scheduler
+        import repro.core.executor as executor
 
         def boom(*args, **kwargs):
             raise AssertionError("incremental render executed episodes")
 
-        monkeypatch.setattr(scheduler, "resolve_executor", boom)
+        monkeypatch.setattr(executor, "_build_platform", boom)
         with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
             outcome = engine.run(incremental=True)
         assert "table4" in outcome.pending_ids

@@ -27,6 +27,7 @@ from repro.core.cache import (
     read_digest_sidecar,
     write_digest_sidecar,
 )
+from repro.core.executor import ExecutionPolicy, SerialExecutor
 from repro.core.experiment import run_campaign
 from repro.core.metrics import count_records, load_results, save_results
 from repro.core.scheduler import (
@@ -171,10 +172,10 @@ class TestRegistry:
         assert "in-process" in message and "subprocess" in message
 
     def test_make_backend_drops_none_kwargs(self):
-        backend = make_backend("subprocess", workers=3, jobs=None)
+        backend = make_backend("subprocess", workers=3, execution=None)
         assert isinstance(backend, SubprocessFleetBackend)
         assert backend.workers == 3
-        assert backend.jobs is None
+        assert backend.execution == ExecutionPolicy()
 
     def test_register_requires_name_and_rejects_duplicates(self):
         class Nameless(WorkerBackend):
@@ -556,13 +557,19 @@ class TestFleetConstruction:
             SubprocessFleetBackend(poll_interval=-0.5)
 
     def test_rejects_unknown_executor_name(self):
+        # Backends take only a policy, which refuses a bad name or a ready
+        # executor instance when built, before any worker is spawned.
         with pytest.raises(ValueError, match="unknown executor"):
-            SubprocessFleetBackend(executor="warp")
+            ExecutionPolicy("warp")
         with pytest.raises(ValueError, match="unknown executor"):
-            InProcessBackend(executor="warp")
+            ExecutionPolicy(SerialExecutor())
+        with pytest.raises(TypeError):
+            SubprocessFleetBackend(workers=1, executor=SerialExecutor())
+        with pytest.raises(TypeError):
+            InProcessBackend(executor="batch")
 
     def test_worker_command_carries_executor_flag(self):
-        fleet = SubprocessFleetBackend(executor="batch")
+        fleet = SubprocessFleetBackend(execution=ExecutionPolicy("batch"))
         command = fleet.worker_command("shard.spec.json")
         assert command[-2:] == ["--executor", "batch"]
         # Unset stays unset: workers fall back to their own default.

@@ -40,6 +40,7 @@ class CountingExecutor(SerialExecutor):
     """Serial backend that records how many episodes actually execute."""
 
     def __init__(self):
+        super().__init__()
         self.executed = 0
 
     def run(self, tasks, progress=None):
@@ -332,6 +333,7 @@ class TestResume:
             """Completes the first dispatched batch, dies on the second."""
 
             def __init__(self):
+                super().__init__()
                 self.calls = 0
 
             def run(self, tasks, progress=None):
