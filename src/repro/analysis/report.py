@@ -3,7 +3,8 @@
 ``python -m repro report`` (see :mod:`repro.cli`) uses this to regenerate
 the complete evaluation — Tables IV-VIII plus the Fig. 5/6 trace
 summaries — into a single self-contained markdown document, mirroring the
-paper's evaluation section layout.
+paper's evaluation section layout; ``repro table4`` .. ``table8`` resolve
+and print single sections of the same DAG.
 
 The report is declared as a DAG of
 :class:`~repro.analysis.incremental.ReportArtifact`\\ s (see
@@ -182,6 +183,9 @@ def _run_report_campaign(
     ml_token: Optional[str] = None,
 ) -> CampaignResult:
     """One report campaign through the persistence layer (cache + resume).
+
+    Every CLI campaign outside ``campaign``/``dispatch``/``worker`` (the
+    report, the table commands, ``episode``) persists through here.
 
     With ``config.backend`` set, the campaign instead goes through the
     distributed scheduler's plan → dispatch → collect pipeline: shards

@@ -13,10 +13,12 @@ Commands:
 * ``scenarios`` — inspect the scenario-family registry (``scenarios
   list [--json]``).
 * ``merge``     — validate and concatenate shard JSONL files.
-* ``table4``    — fault-free driving-performance campaign (Tables IV + V).
-* ``table6``    — the full intervention-comparison campaign.
+* ``table4``    — fault-free driving performance (Tables IV + V).
+* ``table6``    — the full intervention comparison.
 * ``table7``    — driver reaction-time sweep.
 * ``table8``    — road-friction sweep.
+  Each table command runs the report's own campaign arms and prints the
+  report's fenced section(s) for that table, verbatim.
 * ``fig5`` / ``fig6`` — trace an episode and print ASCII plots (optionally
   export CSV).
 * ``report``    — run everything and write a markdown report; with
@@ -42,6 +44,9 @@ set each rendered artifact was built from, so re-runs skip artifacts whose
 inputs are unchanged.  Filling the cache (e.g. ``repro table6 --cache-dir
 ...`` or remote shards landing in a shared cache directory) and re-running
 ``repro report --incremental`` fills the report in as results arrive.
+The table commands are views of the same DAG: ``repro table6`` resolves
+the ``table6`` artifact through the report engine, so it fills exactly
+the cache entries the report reads and prints a slice of ``report.md``.
 
 Parallel execution
 ------------------
@@ -120,16 +125,10 @@ from repro.analysis.incremental import (
     status_document,
 )
 from repro.analysis.render import ascii_plot
-from repro.analysis.report import ReportConfig
-from repro.analysis.tables import (
-    render_table4,
-    render_table5,
-    render_table7,
-    render_table8,
-    table4_driving_performance,
-    table5_lane_distance,
-    table7_reaction_sweep,
-    table8_friction_sweep,
+from repro.analysis.report import (
+    ReportConfig,
+    _run_report_campaign,
+    build_report_artifacts,
 )
 from repro.attacks.campaign import (
     ATTACK_FAULT_TYPES,
@@ -144,7 +143,6 @@ from repro.core.cache import (
     cache_entries,
     campaign_digest,
     gc_cache,
-    resume_file_for,
     verify_cache,
     write_digest_sidecar,
 )
@@ -165,13 +163,7 @@ from repro.core.scheduler import (
 )
 from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
-from repro.sim.families import (
-    ScenarioFamily,
-    UnknownScenarioError,
-    family_catalog,
-    get_family,
-)
-from repro.sim.weather import FRICTION_CONDITIONS
+from repro.sim.families import ScenarioFamily, family_catalog, get_family
 
 
 def _interventions_from_args(args) -> InterventionConfig:
@@ -368,24 +360,29 @@ def _add_report_scale_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _report_config_from_args(args, log=None) -> ReportConfig:
-    """A ReportConfig from the shared report/report-status flags.
+    """A ReportConfig from the flags of ``report``, ``report-status`` or a
+    table command.
+
+    The table commands lack the report-only ``--ml``, ``--reaction-times``
+    and ``--family`` flags and get their defaults, so each table command
+    resolves the same arms as its namesake section of a default report.
 
     Raises:
         UnknownScenarioError: a ``--family`` flag names no registered
             scenario family.
     """
     kwargs = {}
-    if args.reaction_times is not None:
+    if getattr(args, "reaction_times", None) is not None:
         kwargs["reaction_times"] = args.reaction_times
     # Deduplicate while preserving order: a repeated --family would emit
     # the same artifact (and manifest id) twice.
-    families = tuple(dict.fromkeys(args.family or ()))
+    families = tuple(dict.fromkeys(getattr(args, "family", None) or ()))
     for family_id in families:
         get_family(family_id)  # fail before any campaign executes
     return ReportConfig(
         repetitions=args.reps,
         seed=args.seed,
-        include_ml=args.ml,
+        include_ml=getattr(args, "ml", False),
         execution=_execution_from_args(args),
         cache_dir=getattr(args, "cache_dir", None),
         resume_dir=getattr(args, "resume", None),
@@ -398,8 +395,22 @@ def _report_config_from_args(args, log=None) -> ReportConfig:
     )
 
 
+#: The report artifacts each table command prints, in report order.
+_TABLE_ARTIFACTS = {
+    "table4": ("table4", "table5"),
+    "table6": ("table6",),
+    "table7": ("table7",),
+    "table8": ("table8",),
+}
+
+
 def _add_grid_persistence_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution flags, ``--cache-dir`` and ``--resume DIR`` for grid commands."""
+    """Execution flags, ``--cache-dir`` and ``--resume DIR`` for grid commands.
+
+    Every grid command persists through the report engine's campaign entry
+    (:func:`repro.analysis.report._run_report_campaign`), so a campaign
+    has one cache key and one resume file whichever command runs it.
+    """
     _add_execution_flags(parser)
     _add_cache_flag(parser)
     parser.add_argument(
@@ -563,19 +574,6 @@ def _print_profile(profile: PhaseProfile) -> None:
     print(f"  {'total':<15s}{total:9.3f} s")
 
 
-def _persistence_kwargs(args, campaign, interventions, ml_token=None) -> dict:
-    """``run_campaign`` keyword arguments from grid-command flags."""
-    kwargs = {"executor": _execution_from_args(args).resolve()}
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        kwargs["cache"] = CampaignCache(cache_dir)
-    resume_dir = getattr(args, "resume", None)
-    if resume_dir:
-        digest = campaign_digest(campaign, interventions, ml_token=ml_token)
-        kwargs["resume_path"] = resume_file_for(resume_dir, digest)
-    return kwargs
-
-
 def _add_campaign_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The grid-selection flags ``campaign`` and ``dispatch`` share.
 
@@ -729,6 +727,40 @@ def _backend_kwargs(args) -> dict:
     return {"backend": backend, "shards": args.shards, "workdir": args.workdir}
 
 
+def _check_backend_flags(args) -> None:
+    """Refuse a ``campaign``/``report`` flag its execution path would drop.
+
+    Without ``--backend`` nothing reads the scheduler flags; with it, the
+    scheduler plans, resumes and runs shards itself.  (``dispatch`` is
+    always scheduled and reads every flag.)
+
+    Raises:
+        ValueError: naming the flag that would be ignored.
+    """
+    if args.backend is None:
+        for flag in ("--workers", "--workdir", "--shards", "--ssh-command"):
+            if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+                raise ValueError(
+                    f"{flag} only applies to scheduled dispatch: add "
+                    f"--backend or drop {flag}"
+                )
+    elif getattr(args, "shard", None) is not None:
+        raise ValueError(
+            "--backend plans its own shards; --shard selects one slice by "
+            "hand — use one or the other"
+        )
+    elif args.resume:
+        raise ValueError(
+            "--backend resumes shards from --workdir automatically; drop "
+            "--resume (or run without --backend)"
+        )
+    elif getattr(args, "profile", False):
+        raise ValueError(
+            "--profile times the step loop in-process; --backend dispatches "
+            "episodes to worker processes — drop one of them"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="ADAS safety-intervention reproduction toolkit"
@@ -863,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mg.add_argument("--output", "-o", required=True, metavar="FILE")
 
-    for name in ("table4", "table6", "table7", "table8"):
+    for name in _TABLE_ARTIFACTS:
         p = sub.add_parser(name, help=f"regenerate {name}")
         p.add_argument("--reps", type=int, default=2, help="repetitions per cell")
         p.add_argument("--seed", type=int, default=2025)
@@ -964,69 +996,62 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    # Campaign commands fall back to REPRO_JOBS / REPRO_BATCH_LANES when
-    # --jobs / --lanes is omitted; surface a malformed env var as a clean
-    # CLI error before any work, not a traceback.  (Commands without the
-    # flag never read the env var.)
-    for flag, env_default in (("jobs", default_jobs), ("lanes", default_batch_lanes)):
-        if flag in vars(args) and getattr(args, flag) is None:
-            try:
-                env_default()
-            except ValueError as exc:
-                print(f"repro: error: {exc}", file=sys.stderr)
-                return 2
-
-    # Umbrella for configuration errors every command can hit (a malformed
-    # REPRO_CACHE_DIR consulted deep inside run_campaign, an unwritable
-    # output directory): fail fast with the message, never a traceback.
-    # BrokenPipeError must keep propagating — __main__ turns it into the
-    # conventional 141 for `repro ... | head`.
+    # The one error exit: configuration errors every command can hit (a
+    # malformed REPRO_CACHE_DIR consulted deep inside run_campaign, an
+    # unwritable output directory, a failed report arm) print their message
+    # and exit 2, never a traceback.  BrokenPipeError must keep propagating
+    # — __main__ turns it into the conventional 141 for `repro ... | head`.
     try:
         return _run(args)
     except BrokenPipeError:
         raise
-    except (ValueError, OSError, SchedulerError) as exc:
+    except (ValueError, OSError, SchedulerError, ReportError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 
 
 def _run(args) -> int:
+    # Campaign commands fall back to REPRO_JOBS / REPRO_BATCH_LANES when
+    # --jobs / --lanes is omitted; surface a malformed env var before any
+    # work.  (Commands without the flag never read the env var.)
+    for flag, env_default in (("jobs", default_jobs), ("lanes", default_batch_lanes)):
+        if flag in vars(args) and getattr(args, flag) is None:
+            env_default()
+
     if args.command == "lint":
         return _run_lint(args)
 
     if args.command == "episode":
-        try:
-            family = get_family(args.scenario)
-            overrides = {}
-            for name, values in args.scenario_param or ():
-                if len(values) != 1:
-                    raise ValueError(
-                        f"episode takes a single value per parameter, got "
-                        f"{name}={','.join(values)} (sweeps are for "
-                        "'repro campaign')"
-                    )
-                if name == "initial_gap":
-                    raise ValueError(
-                        "use --gap to set the episode's initial gap"
-                    )
-                overrides[name] = family.param_spec(name).parse(values[0])
-            spec = EpisodeSpec(
-                scenario_id=args.scenario,
-                initial_gap=args.gap,
-                fault_type=FaultType(args.fault),
-                repetition=0,
-                seed=args.seed,
-                params=family.resolve_params(overrides),
-            )
-        except ValueError as exc:  # includes UnknownScenarioError
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-        # Route the single episode through the campaign engine so --jobs,
-        # --resume and --cache-dir are honoured uniformly (with one episode
-        # execution degenerates to serial).
+        family = get_family(args.scenario)
+        overrides = {}
+        for name, values in args.scenario_param or ():
+            if len(values) != 1:
+                raise ValueError(
+                    f"episode takes a single value per parameter, got "
+                    f"{name}={','.join(values)} (sweeps are for "
+                    "'repro campaign')"
+                )
+            if name == "initial_gap":
+                raise ValueError("use --gap to set the episode's initial gap")
+            overrides[name] = family.param_spec(name).parse(values[0])
+        spec = EpisodeSpec(
+            scenario_id=args.scenario,
+            initial_gap=args.gap,
+            fault_type=FaultType(args.fault),
+            repetition=0,
+            seed=args.seed,
+            params=family.resolve_params(overrides),
+        )
+        # A one-episode campaign through the report's persistence entry, so
+        # --jobs, --resume and --cache-dir are honoured as for every grid
+        # command (with one episode execution degenerates to serial).
         cfg = _interventions_from_args(args)
-        campaign = run_campaign([spec], cfg, **_persistence_kwargs(args, [spec], cfg))
-        result = campaign.results[0]
+        config = ReportConfig(
+            execution=_execution_from_args(args),
+            cache_dir=args.cache_dir,
+            resume_dir=args.resume,
+        )
+        result = _run_report_campaign(config, [spec], cfg).results[0]
         outcome = result.accident.value if result.accident else "no accident"
         min_ttc = f"{result.min_ttc:.2f} s" if math.isfinite(result.min_ttc) else "-"
         print(f"outcome:    {outcome}")
@@ -1068,23 +1093,9 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("campaign", "dispatch"):
+        if args.command == "campaign":
+            _check_backend_flags(args)
         scheduled = args.command == "dispatch" or args.backend is not None
-        if args.command == "campaign" and scheduled:
-            if args.shard is not None:
-                raise ValueError(
-                    "--backend plans its own shards; --shard selects one "
-                    "slice by hand — use one or the other"
-                )
-            if args.resume:
-                raise ValueError(
-                    "--backend resumes shards from --workdir automatically; "
-                    "drop --resume (or dispatch without --backend)"
-                )
-        if getattr(args, "profile", False) and scheduled:
-            raise ValueError(
-                "--profile times the step loop in-process; --backend "
-                "dispatches episodes to worker processes — drop one of them"
-            )
         # ValueError (including UnknownScenarioError) propagates to main()'s
         # umbrella handler: one "repro: error" formatter, one exit code.
         spec = _campaign_spec_from_args(args)
@@ -1270,13 +1281,8 @@ def _run(args) -> int:
     if args.command == "merge":
         order_error = _check_shard_name_order(args.shards)
         if order_error is not None:
-            print(f"repro: error: {order_error}", file=sys.stderr)
-            return 2
-        try:
-            merged = merge_shards(args.shards, output=args.output)
-        except (ValueError, OSError) as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(order_error)
+        merged = merge_shards(args.shards, output=args.output)
         print(
             f"merged {len(args.shards)} shards "
             f"({len(merged.results)} episodes, intervention "
@@ -1284,64 +1290,18 @@ def _run(args) -> int:
         )
         return 0
 
-    if args.command == "table4":
-        spec4 = CampaignSpec(
-            fault_types=[FaultType.NONE], repetitions=args.reps, seed=args.seed
+    if args.command in _TABLE_ARTIFACTS:
+        # A view of the report DAG: the report's own arms (same cache keys
+        # and resume files), printed as the report's fenced sections.
+        config = _report_config_from_args(
+            args, log=lambda line: print(line, file=sys.stderr)
         )
-        cfg4 = InterventionConfig()
-        campaign = run_campaign(spec4, cfg4, **_persistence_kwargs(args, spec4, cfg4))
-        print(render_table4(table4_driving_performance(campaign)))
-        print()
-        print(render_table5(table5_lane_distance(campaign)))
-        return 0
-
-    if args.command == "table6":
-        from repro.analysis.report import TABLE6_CONFIGS
-        from repro.analysis.tables import render_table6, table6_rows
-
-        spec = CampaignSpec(repetitions=args.reps, seed=args.seed)
-        pairs = []
-        for cfg in TABLE6_CONFIGS:
-            print(f"running {cfg.label()} ...", file=sys.stderr)
-            pairs.append(
-                (
-                    cfg.label(),
-                    run_campaign(spec, cfg, **_persistence_kwargs(args, spec, cfg)),
-                )
-            )
-        print(render_table6(table6_rows(pairs)))
-        return 0
-
-    if args.command == "table7":
-        spec = CampaignSpec(repetitions=args.reps, seed=args.seed)
-        sweeps = {}
-        for rt in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
-            print(f"reaction time {rt} s ...", file=sys.stderr)
-            cfg7 = InterventionConfig(driver=True, driver_reaction_time=rt)
-            sweeps[rt] = run_campaign(spec, cfg7, **_persistence_kwargs(args, spec, cfg7))
-        print(render_table7(table7_reaction_sweep(sweeps)))
-        return 0
-
-    if args.command == "table8":
-        cfg = InterventionConfig(
-            driver=True, safety_check=True, aeb=AebsConfig.COMPROMISED
-        )
-        sweeps = {}
-        for label, condition in FRICTION_CONDITIONS.items():
-            print(f"friction {label} ...", file=sys.stderr)
-            spec8 = CampaignSpec(
-                fault_types=[
-                    FaultType.RELATIVE_DISTANCE,
-                    FaultType.DESIRED_CURVATURE,
-                ],
-                repetitions=args.reps,
-                seed=args.seed,
-                friction=condition,
-            )
-            sweeps[label] = run_campaign(
-                spec8, cfg, **_persistence_kwargs(args, spec8, cfg)
-            )
-        print(render_table8(table8_friction_sweep(sweeps)))
+        wanted = _TABLE_ARTIFACTS[args.command]
+        artifacts = [
+            a for a in build_report_artifacts(config) if a.artifact_id in wanted
+        ]
+        outcome = IncrementalReportEngine(config, artifacts).run(incremental=False)
+        print("\n\n".join(o.body for o in outcome.artifacts))
         return 0
 
     if args.command == "fig5":
@@ -1365,30 +1325,18 @@ def _run(args) -> int:
         return 0
 
     if args.command == "report":
-        try:
-            config = _report_config_from_args(args, log=print)
-        except UnknownScenarioError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+        _check_backend_flags(args)
+        config = _report_config_from_args(args, log=print)
         manifest = manifest_path_for(args.output)
         # Fail on an unwritable destination *before* potentially hours of
         # campaign execution, not at the final write.
         output_dir = os.path.dirname(args.output) or "."
         if not os.path.isdir(output_dir):
-            print(
-                f"repro: error: output directory {output_dir!r} does not "
-                "exist",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            engine = IncrementalReportEngine(config, manifest_path=manifest)
-            outcome = engine.run(incremental=args.incremental)
-            with open(args.output, "w") as handle:
-                handle.write(outcome.text)
-        except (ReportError, ValueError, OSError) as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"output directory {output_dir!r} does not exist")
+        engine = IncrementalReportEngine(config, manifest_path=manifest)
+        outcome = engine.run(incremental=args.incremental)
+        with open(args.output, "w") as handle:
+            handle.write(outcome.text)
         done = len(outcome.rendered_ids) + len(outcome.reused_ids)
         incomplete = outcome.pending_ids + outcome.failed_ids
         if incomplete:
@@ -1402,18 +1350,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "report-status":
-        try:
-            config = _report_config_from_args(args)
-        except UnknownScenarioError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+        config = _report_config_from_args(args)
         manifest = manifest_path_for(args.output)
-        try:
-            engine = IncrementalReportEngine(config, manifest_path=manifest)
-            statuses = engine.status()
-        except (ValueError, OSError) as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+        statuses = IncrementalReportEngine(config, manifest_path=manifest).status()
         if args.json:
             print(json.dumps(status_document(statuses, manifest), indent=2))
             return 0

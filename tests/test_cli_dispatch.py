@@ -122,18 +122,40 @@ class TestDispatchCommand:
         assert "unknown worker backend 'slurm'" in err
         assert "in-process" in err and "subprocess" in err
 
-    def test_backend_conflicts_with_shard_and_resume(self, capsys):
-        assert (
-            main(
-                ["campaign", *GRID, "--backend", "in-process", "--shard", "1/2"]
-            )
-            == 2
-        )
-        assert "--shard" in capsys.readouterr().err
-        assert (
-            main(["campaign", *GRID, "--backend", "in-process", "--resume"]) == 2
-        )
-        assert "--resume" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["campaign", *GRID, "--backend", "in-process", "--shard", "1/2"],
+             "--shard"),
+            (["campaign", *GRID, "--backend", "in-process", "--resume"],
+             "--resume"),
+            (["campaign", *GRID, "--workers", "2"], "--workers"),
+            (["campaign", *GRID, "--workdir", "wd"], "--workdir"),
+            (["campaign", *GRID, "--shards", "2"], "--shards"),
+            (["campaign", *GRID, "--ssh-command", "ssh h {command}"],
+             "--ssh-command"),
+            (["report", "--reps", "1", "--workers", "2"], "--workers"),
+            (["report", "--reps", "1", "--workdir", "wd"], "--workdir"),
+            (["report", "--reps", "1", "--backend", "in-process",
+              "--resume", "wd"], "--resume"),
+        ],
+        ids=[
+            "campaign-backend-shard", "campaign-backend-resume",
+            "campaign-workers", "campaign-workdir", "campaign-shards",
+            "campaign-ssh-command", "report-workers", "report-workdir",
+            "report-backend-resume",
+        ],
+    )
+    def test_dropped_flag_exits_2(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        """A campaign/report flag its execution path would ignore is
+        refused before any work: scheduler flags without --backend, and
+        the --shard/--resume that --backend replaces."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == []  # no workdir, output or report
 
     def test_ssh_command_requires_ssh_backend(self, capsys):
         rc = main(
@@ -186,8 +208,9 @@ class TestExecutionFlags:
     )
     def test_command_builds_one_policy(self, argv, expected, tmp_path, monkeypatch):
         """Each command turns its flags into one ExecutionPolicy: the one
-        it resolves, hands its backend, or puts in its ReportConfig."""
-        if argv[0].startswith("report"):
+        it resolves, hands its backend, or puts in its ReportConfig (the
+        report and table commands run through the report engine)."""
+        if argv[0].startswith(("report", "table")):
             config = _report_config_from_args(build_parser().parse_args(argv))
             assert config.execution == expected
             return

@@ -437,6 +437,47 @@ class TestCli:
         assert (tmp_path / "report.manifest.json").exists()
         assert "awaiting:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, artifact_ids",
+        [
+            ("table4", ("table4", "table5")),
+            ("table6", ("table6",)),
+            ("table7", ("table7",)),
+            ("table8", ("table8",)),
+        ],
+        ids=["table4", "table6", "table7", "table8"],
+    )
+    def test_table_command_prints_report_sections_from_warm_cache(
+        self, command, artifact_ids, tmp_path, mocked_figs, monkeypatch, capsys
+    ):
+        """A table command is a view of the report DAG: over a warm cache it
+        executes nothing and prints its artifacts' bodies joined by one
+        blank line, a verbatim slice of the report."""
+        config = ReportConfig(
+            repetitions=1, seed=5, cache_dir=str(tmp_path / "cache")
+        )
+        engine = IncrementalReportEngine(config)
+        for arm in engine_arms(engine).values():
+            seed_arm(config.cache(), arm)
+
+        import repro.core.executor as executor
+
+        def boom(*args, **kwargs):
+            raise AssertionError("warm-cache table command executed episodes")
+
+        monkeypatch.setattr(executor, "_build_platform", boom)
+        report = engine.run(incremental=True)
+        assert report.complete
+        bodies = {o.artifact.artifact_id: o.body for o in report.artifacts}
+
+        rc = self.run_cli(
+            [command, "--reps", "1", "--seed", "5", "--cache-dir", config.cache_dir]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out == "\n\n".join(bodies[a] for a in artifact_ids) + "\n"
+        assert captured.out[:-1] in report.text
+
     def test_report_status_json_round_trips(self, tmp_path, capsys):
         config = small_config(tmp_path)
         engine = IncrementalReportEngine(config)
