@@ -154,8 +154,9 @@ def test_parallel_speedup_report(capsys):
 
 #: Batch-width campaign: 96 episodes stepped in lockstep.  The batch
 #: engine amortises NumPy dispatch across lanes, so its advantage grows
-#: with width — a dozen lanes roughly breaks even, campaign-scale widths
-#: pull ahead (see the sim/batch_state module docstring).
+#: with width: below ``executor.BREAK_EVEN_LANES`` (24) lanes a lockstep
+#: hands off to the scalar loop, and campaign-scale widths pull ahead
+#: (see the ``BatchExecutor`` docstring).
 _BATCH_CAMPAIGN = CampaignSpec(
     fault_types=[FaultType.DESIRED_CURVATURE, FaultType.MIXED],
     initial_gaps=(60.0,),

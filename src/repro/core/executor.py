@@ -158,32 +158,34 @@ def _build_platform(task: EpisodeTask) -> "SimulationPlatform":
     )
 
 
-def execute_task(task: EpisodeTask) -> EpisodeResult:
-    """Run one :class:`EpisodeTask` to completion."""
-    return _build_platform(task).run()
+def run_steps(
+    platform: "SimulationPlatform",
+    result: EpisodeResult,
+    start: int = 0,
+    profile: Optional[PhaseProfile] = None,
+) -> EpisodeResult:
+    """Step ``platform`` from step ``start`` to the end of its episode.
 
-
-def execute_task_profiled(task: EpisodeTask, profile: PhaseProfile) -> EpisodeResult:
-    """:func:`execute_task` with per-phase wall-clock accumulation.
-
-    Replays ``SimulationPlatform.run`` phase by phase with a counter read
-    between phases; the call sequence (and therefore the result) is
-    identical to the unprofiled path.
+    The executors' one scalar step loop: :class:`SerialExecutor` runs
+    every episode through it from step 0, and :class:`BatchExecutor`
+    finishes the lanes of a narrow lockstep through it from the step they
+    reached.  The call sequence is ``SimulationPlatform.run``'s; with a
+    ``profile`` the clock is read between the phases, which changes no
+    result.
     """
-    platform = _build_platform(task)
-    result = platform._begin_episode()
-    for step_index in range(platform.max_steps):
-        t0 = perf_counter()
+    dt = platform.dt
+    for step_index in range(start, platform.max_steps):
+        t0 = perf_counter() if profile is not None else 0.0
         platform._control_phase(step_index, result)
-        t1 = perf_counter()
-        platform.world.step(platform.dt)
-        t2 = perf_counter()
+        t1 = perf_counter() if profile is not None else 0.0
+        platform.world.step(dt)
+        t2 = perf_counter() if profile is not None else 0.0
         finished = platform._after_dynamics(step_index, result)
-        t3 = perf_counter()
-        profile.control_s += t1 - t0
-        profile.dynamics_s += t2 - t1
-        profile.post_s += t3 - t2
-        profile.steps += 1
+        if profile is not None:
+            profile.control_s += t1 - t0
+            profile.dynamics_s += t2 - t1
+            profile.post_s += perf_counter() - t2
+            profile.steps += 1
         if finished:
             break
     platform._finish_episode(result)
@@ -273,10 +275,10 @@ class SerialExecutor(CampaignExecutor):
         tracker = ProgressTracker(len(tasks), progress)
         results: List[EpisodeResult] = []
         for task in tasks:
-            if self.profile is not None:
-                results.append(execute_task_profiled(task, self.profile))
-            else:
-                results.append(execute_task(task))
+            platform = _build_platform(task)
+            results.append(
+                run_steps(platform, platform._begin_episode(), profile=self.profile)
+            )
             tracker.advance()
         return results
 
@@ -398,22 +400,36 @@ class ParallelExecutor(CampaignExecutor):
         return max(8, 4 * self.jobs)
 
 
+#: Lockstep width below which a batch tick costs more than stepping each
+#: lane on its own.  From a width sweep of the report's attacked Table VI
+#: arms on a 2-vCPU host: a tick cost 71-90 us per lane-step at 16-23
+#: lanes and 58-67 at 24-31, where serial costs 66-70.  A lockstep this
+#: narrow with no batched ML lane finishes on :func:`run_steps`; 0 never
+#: hands off.
+BREAK_EVEN_LANES = 24
+
+
 class BatchExecutor(CampaignExecutor):
     """Lockstep vectorized execution: N episodes advance together.
 
-    One process owns all episodes and steps them in lockstep through
-    :class:`repro.sim.batch_state.BatchDynamics`, which integrates every
-    lane's world with NumPy-vectorized float64 math while the
-    perception/control/safety stacks keep running per lane.  Results are
-    **bit-identical** to :class:`SerialExecutor` (the vectorized dynamics
-    replicate the scalar arithmetic exactly; see the batch_state module
-    docstring), so the two backends are interchangeable — batch trades
-    per-episode Python interpreter overhead for array dispatch, which pays
-    off on campaign-sized episode counts.
+    One process owns all episodes and steps them in lockstep, with the
+    control phase (:class:`repro.sim.batch_control.BatchControlStack`),
+    the physics (:class:`repro.sim.batch_state.BatchDynamics`) and the
+    hazard screen (:class:`repro.sim.batch_hazards.BatchHazardMonitor`)
+    each vectorized over every lane.  Results are **bit-identical** to
+    :class:`SerialExecutor` (see those modules' docstrings), so the two
+    backends are interchangeable — batch trades per-episode Python
+    interpreter overhead for array dispatch, which pays off on
+    campaign-sized episode counts.
 
     Episodes can only share an integrate when they share a physics period,
     so tasks are grouped by their ``dt``; episodes finish independently
     (accident or ``max_steps``) and drop out of the lockstep as they do.
+    Once fewer than :data:`BREAK_EVEN_LANES` lanes remain and none runs
+    a batched ML controller (whose stacked LSTM forward wins at any
+    width), the lockstep hands off: every lane's state is synced back to
+    its objects and each finishes on the scalar loop, so a narrow tail,
+    or a lane cap below the constant, costs what serial costs.
 
     Args:
         lanes: cap on episodes stepped together (``None`` = one batch per
@@ -497,7 +513,27 @@ class BatchExecutor(CampaignExecutor):
         # The control phase runs before the first physics step, so the
         # step-0 world-query caches must be primed from the initial state.
         dynamics.prime(active)
+
+        def sync(lane: int) -> None:
+            # A vector lane's state lives in the stack's arrays until
+            # retire() writes it back to its objects; quiet steps skip the
+            # per-step counter write, so the step count is stamped first.
+            if lane in stack.vector_set:
+                episodes[lane].steps = steps[lane]
+                stack.retire(lane, episodes[lane])
+
         while active:
+            if len(active) < BREAK_EVEN_LANES and stack.ml_set.isdisjoint(active):
+                # Hand off: once synced, a lane's objects, world caches,
+                # hazard records and perception Generator stand where
+                # serial's would at this tick boundary.
+                for lane in active:
+                    sync(lane)
+                    results[indices[lane]] = run_steps(
+                        platforms[lane], episodes[lane], steps[lane], profile
+                    )
+                    tracker.advance()
+                return
             t0 = perf_counter() if profile is not None else 0.0
             vector_lanes = [lane for lane in active if lane in stack.vector_set]
             stack.step_control(vector_lanes)
@@ -535,11 +571,7 @@ class BatchExecutor(CampaignExecutor):
                     finished = platform._after_dynamics(steps[lane], episodes[lane])
                 steps[lane] += 1
                 if finished or steps[lane] >= platform.max_steps:
-                    if lane in stack.vector_set:
-                        # Quiet steps skip the per-step counter write, so
-                        # stamp the final step count before retirement.
-                        episodes[lane].steps = steps[lane]
-                        stack.retire(lane, episodes[lane])
+                    sync(lane)
                     platform._finish_episode(episodes[lane])
                     results[indices[lane]] = episodes[lane]
                     tracker.advance()

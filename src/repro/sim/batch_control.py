@@ -12,13 +12,15 @@ bookkeeping (``_post_step``, metrics, hazards) is untouched.
 
 Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
 
-* **RNG draw order is preserved per lane.**  Each lane keeps its own
-  ``Generator`` (the platform's perception stream); the stack pre-draws
-  ``standard_normal`` blocks per lane and slices 5 draws per step with a
-  valid lead, 3 without — which consumes the underlying bit stream exactly
-  like the scalar path's sequential ``rng.normal(0.0, scale)`` calls, and
+* **RNG draws are exact per tick.**  Each lane keeps its own
+  ``Generator`` (the platform's perception stream) and draws exactly its
+  tick's ``standard_normal`` values into its noise row: 5 with a valid
+  lead, 3 without.  That consumes the underlying bit stream exactly like
+  the scalar path's sequential ``rng.normal(0.0, scale)`` calls, and
   ``normal(0.0, s)`` is computed as ``0.0 + s * z`` (the same arithmetic
-  NumPy performs internally).
+  NumPy performs internally).  Nothing is drawn ahead, so at every tick
+  boundary each ``Generator`` stands where serial's would, and a lane can
+  leave the lockstep for the scalar loop at any tick.
 * **Branches replicate scalar semantics** via the ``*_arrays`` step-math
   twins each module exposes (``np.where`` selections preserving operand
   order, signed zeros, and guard short-circuits).
@@ -38,9 +40,9 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
   the arrays.
 
 State lives in full-width arrays indexed by global lane id; when a lane
-finishes, :meth:`retire` scatters its controller state back onto the scalar
-objects so post-episode inspection sees exactly what the serial path would
-have left behind.
+finishes, or the executor hands it to the scalar loop, :meth:`retire`
+scatters its controller state back onto the scalar objects, which then
+hold exactly what the serial path would have left behind.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ from repro.sim.batch_ml import BatchMitigation, ml_batchable
 from repro.sim.batch_state import BatchDynamics
 from repro.utils.npmath import np_max_pair, np_min_pair
 from repro.utils.units import G
-
-#: Standard-normal draws pre-fetched per lane per refill.  Any size works
-#: (block boundaries do not change the consumed stream); bigger blocks
-#: amortise more Generator-call overhead.
-_NOISE_BLOCK = 512
 
 #: Worst-case standard-normal draws one lane consumes per step.
 _DRAWS_PER_STEP = 5
@@ -113,7 +110,8 @@ class BatchControlStack:
             i for i in self.vector_set
             if self.platforms[i].ml_controller is not None
         )
-        self._ml_set = frozenset(ml_lanes)
+        #: Vector lanes whose Algorithm 1 runs batched (``self.ml``).
+        self.ml_set = frozenset(ml_lanes)
         self.ml = BatchMitigation(self.platforms, ml_lanes) if ml_lanes else None
 
         def arr(get) -> np.ndarray:
@@ -352,10 +350,8 @@ class BatchControlStack:
         self._acc_follow_sum = np.zeros(n)
         self._acc_follow_count = np.zeros(n, dtype=np.int64)
 
-        # Per-lane standard-normal buffers (draw-order preservation).
+        # Per-lane perception streams (draw-order preservation).
         self._rngs = [p.perception._rng for p in self.platforms]
-        self._nbuf: List[np.ndarray] = [np.empty(0) for _ in range(n)]
-        self._ncur = [0] * n
 
         self._pos_cache: Dict[Tuple[tuple, tuple], np.ndarray] = {}
         self._param_key: Optional[tuple] = None
@@ -551,7 +547,7 @@ class BatchControlStack:
         ml_recovery = np.zeros(m, dtype=bool)
         base_in_accel, base_in_steer = adas_accel, adas_steer
         if self.ml is not None:
-            ml_sub = [j for j, lane in enumerate(key) if lane in self._ml_set]
+            ml_sub = [j for j, lane in enumerate(key) if lane in self.ml_set]
             if ml_sub:
                 jdx = np.asarray(ml_sub, dtype=np.intp)
                 # `_ml_features` reads the *true* sensor lead, not the
@@ -965,39 +961,26 @@ class BatchControlStack:
         """Per-lane standard-normal draws for one perception frame.
 
         5 draws with a valid lead (rd, rs, lane_left, lane_right,
-        curvature), 3 without (the scalar path skips the lead head), sliced
-        from per-lane pre-drawn blocks so each lane's ``Generator``
-        consumes its bit stream exactly as the scalar path would.
+        curvature), 3 without (the scalar path skips the lead head), each
+        drawn straight into the lane's row so its ``Generator`` consumes
+        its bit stream exactly as the scalar path would, tick by tick.
         """
         out = np.zeros((len(key), _DRAWS_PER_STEP))
-        valid_l = lead_valid.tolist()
-        for j, lane in enumerate(key):
-            buf = self._nbuf[lane]
-            cur = self._ncur[lane]
-            if cur + _DRAWS_PER_STEP > buf.shape[0]:
-                buf = np.concatenate(
-                    (buf[cur:], self._rngs[lane].standard_normal(_NOISE_BLOCK))
-                )
-                self._nbuf[lane] = buf
-                cur = 0
-            if valid_l[j]:
-                out[j, :] = buf[cur : cur + 5]
-                cur += 5
-            else:
-                out[j, 2:] = buf[cur : cur + 3]
-                cur += 3
-            self._ncur[lane] = cur
+        rngs = self._rngs
+        for j, (lane, valid) in enumerate(zip(key, lead_valid.tolist())):
+            rngs[lane].standard_normal(out=out[j] if valid else out[j, 2:])
         return out
 
     def retire(self, lane: int, result=None) -> None:
-        """Scatter a finished lane's controller state back onto its objects.
+        """Scatter a lane's controller state back onto its objects.
 
         After this the scalar objects look exactly as if the serial path
-        had run the episode (tracker/planner/AEBS/checker/arbitrator state
-        and counters included).  When ``result`` is given, the running
-        metric accumulators (see :meth:`accumulate`) are flushed into it
-        and the follow-distance sums onto the platform, ready for
-        ``_finish_episode``.
+        had run the lane's steps so far (tracker/planner/AEBS/checker/
+        arbitrator state and counters included).  When ``result`` is
+        given, the running metric accumulators (see :meth:`accumulate`)
+        are flushed into it and the follow-distance sums onto the
+        platform, ready for ``_finish_episode`` or for further scalar
+        steps.
         """
         p = self.platforms[lane]
         if result is not None:

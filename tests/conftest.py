@@ -12,6 +12,21 @@ from repro.sim.world import World
 
 
 @pytest.fixture
+def force_lockstep(monkeypatch):
+    """Keep every batch lockstep stepping in lockstep to its last lane.
+
+    ``BatchExecutor`` hands a lockstep narrower than
+    ``executor.BREAK_EVEN_LANES`` to the scalar loop, and most batch-vs-
+    serial tests run a few lanes, so without this they would compare
+    serial with serial.  0 means never hand off.  Pool workers fork from
+    the test process, so the batch x jobs hybrid inherits it too.
+    """
+    from repro.core import executor
+
+    monkeypatch.setattr(executor, "BREAK_EVEN_LANES", 0)
+
+
+@pytest.fixture
 def straight_road():
     """A long straight two-lane road."""
     return build_straight_map()

@@ -5,6 +5,11 @@ The contract under test is the one the golden-digest suite cannot see:
 therefore identical aggregate metrics — to the serial reference for
 every registered scenario family, every fault mode, and any lane width,
 while :class:`ExecutionPolicy` keeps the name-based selection honest.
+
+Every test here runs under the ``force_lockstep`` fixture: these
+campaigns are a few lanes wide, and without it the engine would hand
+them straight to the scalar loop.  The hand-off itself is pinned in
+``tests/test_batch_handoff.py``.
 """
 
 import numpy as np
@@ -32,6 +37,8 @@ from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
 from repro.sim.families import registered_families
 from tests.test_executor import PoolContract
+
+pytestmark = pytest.mark.usefixtures("force_lockstep")
 
 #: The widest intervention stack: driver + safety check + independent
 #: AEB exercises every sensor corridor the batch engine pre-computes
@@ -138,6 +145,26 @@ class TestBatchSerialEquivalence:
                 max_steps=600,
             )
             assert batch.results == serial.results, lanes
+
+    def test_lockstep_runs_to_the_last_lane(self, monkeypatch):
+        # Under force_lockstep a 2-lane batch never hands off: the
+        # vectorized control phase steps both lanes until each retires.
+        from repro.sim.batch_control import BatchControlStack
+
+        widths = []
+        step_control = BatchControlStack.step_control
+
+        def spy(self, lanes):
+            widths.append(len(lanes))
+            step_control(self, lanes)
+
+        monkeypatch.setattr(BatchControlStack, "step_control", spy)
+        spec = _family_spec("S4", FaultType.RELATIVE_DISTANCE, seed=11)
+        batch = run_campaign(
+            spec, FULL_CFG, executor="batch", cache=False, max_steps=300
+        )
+        steps = sorted(r.steps for r in batch.results)
+        assert widths == [2] * steps[0] + [1] * (steps[1] - steps[0])
 
     def test_minimal_config_also_identical(self):
         # No driver, no AEB: the no-intervention arm takes different

@@ -47,6 +47,7 @@ def grid_spec():
     )
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestBatchLanesFlag:
     def test_campaign_batch_lanes_matches_serial_bytes(self, tmp_path, capsys):
         serial = tmp_path / "serial.jsonl"

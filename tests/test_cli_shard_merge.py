@@ -197,6 +197,7 @@ class TestGridCommandFlags:
         assert files[0].read_bytes() == stamp
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestProfileFlag:
     ARGS = CAMPAIGN_ARGS + ["--scenario", "S1", "--driver"]
 
