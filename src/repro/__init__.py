@@ -32,18 +32,14 @@ from repro.attacks import (
 )
 from repro.core import (
     AccidentType,
-    CacheBackend,
     CampaignCache,
     CampaignExecutor,
     CampaignPlan,
     CampaignResult,
-    DirectoryCacheBackend,
     EpisodeResult,
-    MemoryCacheBackend,
     ParallelExecutor,
     SerialExecutor,
     SimulationPlatform,
-    TieredCache,
     WorkerBackend,
     aggregate,
     campaign_digest,
@@ -82,12 +78,8 @@ __all__ = [
     "ShardSpec",
     "enumerate_campaign",
     "AccidentType",
-    "CacheBackend",
     "CampaignCache",
     "CampaignPlan",
-    "DirectoryCacheBackend",
-    "MemoryCacheBackend",
-    "TieredCache",
     "WorkerBackend",
     "dispatch_campaign",
     "make_backend",

@@ -52,15 +52,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.render import format_placeholder
-from repro.attacks.campaign import CampaignSpec, EpisodeSpec, as_episode_list
-from repro.core.cache import (
-    campaign_digest,
-    complete_hit,
-    read_digest_sidecar,
-    resume_entry_path,
+from repro.attacks.campaign import (
+    CampaignSpec,
+    EpisodeSpec,
+    ShardSpec,
+    as_episode_list,
 )
+from repro.core.cache import resume_entry_path
 from repro.core.experiment import CampaignResult
-from repro.core.metrics import count_records, load_results
+from repro.core.scheduler import ShardJob, load_stored, stored_count
 from repro.safety.arbitration import InterventionConfig
 
 #: Bump when the manifest schema changes shape so stale sidecars are
@@ -372,8 +372,7 @@ class IncrementalReportEngine:
                         "so they must be unique (are two sweep points "
                         "formatting to the same label?)"
                     )
-        self._digests: Dict[str, str] = {}
-        self._totals: Dict[str, int] = {}
+        self._jobs: Dict[str, ShardJob] = {}
         self._results: Dict[str, CampaignResult] = {}
         self._statuses: Dict[str, ArmStatus] = {}
         self._probe_cache_resolved = False
@@ -394,17 +393,24 @@ class IncrementalReportEngine:
             self._probe_cache_resolved = True
         return self._probe_cache_value
 
-    def _arm_digest(self, arm: CampaignArm) -> str:
-        if arm.name not in self._digests:
-            self._digests[arm.name] = campaign_digest(
-                arm.campaign, arm.interventions, ml_token=arm.ml_token
+    def _job(self, arm: CampaignArm) -> ShardJob:
+        """The arm as a single-shard job: its memoized digest and total,
+        and the unit the scheduler's stored-results rule probes."""
+        job = self._jobs.get(arm.name)
+        if job is None:
+            job = self._jobs[arm.name] = ShardJob(
+                shard=ShardSpec(1, 1),
+                episodes=tuple(as_episode_list(arm.campaign)),
+                interventions=arm.interventions,
+                ml_token=arm.ml_token,
             )
-        return self._digests[arm.name]
+        return job
 
-    def _arm_total(self, arm: CampaignArm) -> int:
-        if arm.name not in self._totals:
-            self._totals[arm.name] = len(as_episode_list(arm.campaign))
-        return self._totals[arm.name]
+    def _resume_entry(self, job: ShardJob) -> Optional[str]:
+        """The arm's resume file path (not created), or None."""
+        if not self.config.resume_dir:
+            return None
+        return resume_entry_path(self.config.resume_dir, job.digest())
 
     def arm_status(self, arm: CampaignArm, refresh: bool = False) -> ArmStatus:
         """Staleness of one arm: cache entry first, then resume prefix.
@@ -416,33 +422,18 @@ class IncrementalReportEngine:
         """
         if not refresh and arm.name in self._statuses:
             return self._statuses[arm.name]
-        digest = self._arm_digest(arm)
-        total = self._arm_total(arm)
-        status = None
-        cache = self._probe_cache()
-        if cache is not None:
-            count = cache.entry_count(digest)
-            if count is not None and count >= total:
-                status = ArmStatus(arm.name, digest, ARM_CACHED, total, total)
-        if status is None and self.config.resume_dir:
-            path = resume_entry_path(self.config.resume_dir, digest)
-            recorded = read_digest_sidecar(path)
-            # A sidecar naming a different digest means the file belongs to
-            # another campaign: resume would refuse it, so it contributes
-            # nothing here either.
-            if recorded is None or recorded == digest:
-                done = count_records(path)
-                if done:
-                    state = (
-                        ARM_RESUMABLE_COMPLETE
-                        if done >= total
-                        else ARM_RESUMABLE_PARTIAL
-                    )
-                    status = ArmStatus(
-                        arm.name, digest, state, min(done, total), total
-                    )
-        if status is None:
-            status = ArmStatus(arm.name, digest, ARM_MISSING, 0, total)
+        job = self._job(arm)
+        total = job.total
+        source, done = stored_count(
+            job, self._probe_cache(), self._resume_entry(job)
+        )
+        if source == "cache":
+            state = ARM_CACHED
+        elif done:
+            state = ARM_RESUMABLE_COMPLETE if done >= total else ARM_RESUMABLE_PARTIAL
+        else:
+            state = ARM_MISSING
+        status = ArmStatus(arm.name, job.digest(), state, min(done, total), total)
         self._statuses[arm.name] = status
         return status
 
@@ -451,7 +442,7 @@ class IncrementalReportEngine:
         fingerprint, then the arm digests, then non-campaign inputs."""
         return (
             [f"render:{RENDER_FORMAT}"]
-            + [self._arm_digest(a) for a in artifact.arms]
+            + [self._job(a).digest() for a in artifact.arms]
             + list(artifact.extra_inputs)
         )
 
@@ -516,7 +507,7 @@ class IncrementalReportEngine:
         except (ReportError, _ArmIncomplete):
             raise
         except Exception as exc:
-            digest = self._arm_digest(arm)
+            digest = self._job(arm).digest()
             raise ReportError(
                 f"report campaign {arm.name!r} "
                 f"(digest {digest[:16]}…) failed: {exc}",
@@ -527,36 +518,18 @@ class IncrementalReportEngine:
         return result
 
     def _load_complete_arm(self, arm: CampaignArm) -> CampaignResult:
-        """Execution-free authoritative load of an arm believed complete."""
-        label = arm.interventions.label()
-        total = self._arm_total(arm)
-        digest = self._arm_digest(arm)
-        cache = self._probe_cache()
-        if cache is not None:
-            # Strict parsed load: a corrupt entry whose line count looked
-            # right is discarded here (and deleted by the cache itself).
-            hit = complete_hit(cache, digest, total, label)
-            if hit is not None:
-                return CampaignResult(intervention=label, results=hit)
-        if self.config.resume_dir:
-            path = resume_entry_path(self.config.resume_dir, digest)
-            recorded = read_digest_sidecar(path)
-            if recorded is None or recorded == digest:
-                try:
-                    prior = load_results(path)
-                except (FileNotFoundError, NotADirectoryError):
-                    prior = []
-                if len(prior) >= total:
-                    # Same validation an actual resume would apply; a file
-                    # that would be refused (wrong label, wrong episode
-                    # identities, overlong) is an error worth surfacing,
-                    # not an incomplete input.
-                    from repro.core.experiment import _validate_resume_prefix
+        """Execution-free authoritative load of an arm believed complete.
 
-                    episodes = as_episode_list(arm.campaign)
-                    _validate_resume_prefix(prior, episodes, label, path)
-                    return CampaignResult(intervention=label, results=prior)
-        raise _ArmIncomplete(arm.name)
+        A corrupt cache entry whose line count looked right is discarded
+        here (and deleted by the cache itself); a resume file that resume
+        would refuse is an error worth surfacing, not an incomplete input.
+        """
+        job = self._job(arm)
+        hit, prior = load_stored(job, self._probe_cache(), self._resume_entry(job))
+        results = prior if hit is None else hit
+        if len(results) < job.total:
+            raise _ArmIncomplete(arm.name)
+        return CampaignResult(job.interventions.label(), results)
 
     def _execute_arm(self, arm: CampaignArm) -> CampaignResult:
         from repro.analysis.report import _run_report_campaign
@@ -569,20 +542,17 @@ class IncrementalReportEngine:
         # short-circuits *before* weights are loaded or trained at all.
         from repro.ml import MitigationFactory, TrainerConfig, load_or_train_cached
 
-        cache = self._probe_cache()
-        if cache is not None:
-            label = arm.interventions.label()
-            hit = complete_hit(cache, self._arm_digest(arm), self._arm_total(arm), label)
-            if hit is not None:
-                self.config._say("  (cache hit — skipping training and execution)")
-                return CampaignResult(intervention=label, results=hit)
+        job = self._job(arm)
+        hit, _ = load_stored(job, self._probe_cache(), self._resume_entry(job))
+        if hit is not None:
+            self.config._say("  (cache hit — skipping training and execution)")
+            return CampaignResult(job.interventions.label(), hit)
         baseline = load_or_train_cached(TrainerConfig())
         return _run_report_campaign(
             self.config,
             arm.campaign,
             arm.interventions,
             ml_factory=MitigationFactory(baseline, digest_token=arm.ml_token),
-            ml_token=arm.ml_token,
         )
 
     # ---- the run ---------------------------------------------------------

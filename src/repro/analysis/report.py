@@ -64,14 +64,10 @@ from repro.analysis.tables import (
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
 from repro.attacks.fi import FaultType
 from repro.sim.families import get_family, param_token
-from repro.core.cache import (
-    CampaignCache,
-    campaign_digest,
-    default_cache,
-    resume_file_for,
-)
+from repro.core.cache import CampaignCache, default_cache, resume_file_for
 from repro.core.executor import ExecutionPolicy
-from repro.core.experiment import CampaignResult, run_campaign
+from repro.core.experiment import CampaignResult
+from repro.core.scheduler import CampaignPlan, execute_shard
 from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
 from repro.sim.weather import FRICTION_CONDITIONS
@@ -180,12 +176,13 @@ def _run_report_campaign(
     campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
     interventions: InterventionConfig,
     ml_factory: Optional[Callable[[], object]] = None,
-    ml_token: Optional[str] = None,
 ) -> CampaignResult:
     """One report campaign through the persistence layer (cache + resume).
 
     Every CLI campaign outside ``campaign``/``dispatch``/``worker`` (the
-    report, the table commands, ``episode``) persists through here.
+    report, the table commands, ``episode``) persists through here, with
+    the cache ``config`` resolves and the digest-named resume file in
+    ``config.resume_dir``.
 
     With ``config.backend`` set, the campaign instead goes through the
     distributed scheduler's plan → dispatch → collect pipeline: shards
@@ -206,21 +203,15 @@ def _run_report_campaign(
             ),
             workdir=config.workdir,
             ml_factory=ml_factory,
-            cache=cache if cache is not None else False,
+            cache=cache,
             log=config._say,
         )
+    (job,) = CampaignPlan.build(campaign, interventions, ml_factory=ml_factory).jobs
     resume_path = None
     if config.resume_dir:
-        resume_path = config.resume_path_for(
-            campaign_digest(campaign, interventions, ml_token=ml_token)
-        )
-    return run_campaign(
-        campaign,
-        interventions,
-        ml_factory=ml_factory,
-        executor=config.execution.resolve(),
-        cache=cache if cache is not None else False,
-        resume_path=resume_path,
+        resume_path = config.resume_path_for(job.digest())
+    return execute_shard(
+        job, config.execution.resolve(), resume_path=resume_path, cache=cache
     )
 
 

@@ -10,12 +10,13 @@
 * :mod:`repro.core.executor` — pluggable campaign executors (serial /
   batch, each alone or inside one process pool) with deterministic,
   ordered results.
-* :mod:`repro.core.cache` — digest-keyed campaign result cache behind
-  pluggable storage backends (``REPRO_CACHE_DIR``).
+* :mod:`repro.core.cache` — digest-keyed campaign result cache, one
+  directory of JSONL entries (``REPRO_CACHE_DIR``).
 * :mod:`repro.core.experiment` — campaign execution (sharding, resume,
   caching) and aggregation.
 * :mod:`repro.core.scheduler` — the distributed campaign scheduler
-  (plan → dispatch → collect over a registry of worker backends).
+  (plan → dispatch → collect over a registry of worker backends) and the
+  one stored-results rule (cache entry, then resume file).
 """
 
 from repro.core.hazards import AccidentType, HazardMonitor
@@ -29,11 +30,7 @@ from repro.core.executor import (
     available_cores,
 )
 from repro.core.cache import (
-    CacheBackend,
     CampaignCache,
-    DirectoryCacheBackend,
-    MemoryCacheBackend,
-    TieredCache,
     campaign_digest,
     default_cache,
 )
@@ -72,11 +69,7 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "available_cores",
-    "CacheBackend",
     "CampaignCache",
-    "DirectoryCacheBackend",
-    "MemoryCacheBackend",
-    "TieredCache",
     "campaign_digest",
     "default_cache",
     "CampaignResult",

@@ -1,4 +1,4 @@
-"""Digest-keyed campaign result cache with pluggable storage backends.
+"""Digest-keyed campaign result cache: one directory of JSONL entries.
 
 Large campaigns (the paper's 360-episode grids, the Table VII/VIII sweeps)
 are pure functions of their inputs: episode seeds are fully determined by
@@ -11,19 +11,14 @@ with sorted keys and hash it with SHA-256.  The digest is stable across
 processes, machines and Python versions (``hash()`` is salted per process
 and unusable here, exactly as in :func:`repro.utils.rng.derive_seed`).
 
-Storage is a :class:`CacheBackend`: a ``get``/``put`` mapping from digests
-to completed campaign result lists.  Three backends ship:
-
-* :class:`DirectoryCacheBackend` — one ``<digest>.jsonl`` file per entry
-  in a directory, byte-compatible with the historical on-disk layout (the
-  exchange format of the distributed scheduler: remote workers and the
-  report pipeline share entries through one directory).
-  :class:`CampaignCache` is the backwards-compatible name.
-* :class:`MemoryCacheBackend` — an in-process LRU, for hot repeated
-  lookups (the report DAG probes the same arms many times).
-* :class:`TieredCache` — read-through composition (memory over directory
-  is the common pairing); a future HTTP/S3 backend slots in behind the
-  same interface without touching any consumer.
+The store is one class, :class:`CampaignCache`: a directory holding one
+``<digest>.jsonl`` file per completed campaign.  It is the exchange
+format of the distributed scheduler — remote workers and the report
+pipeline share entries through one directory, local or on a shared
+filesystem.  :func:`complete_hit` is the one rule for accepting an entry
+in place of running the campaign; the scheduler's stored-results rule
+(:func:`repro.core.scheduler.load_stored`) applies it together with the
+resume file.
 
 Entries are written atomically (temp file + ``os.replace``), so a reader
 never observes a partial entry; a corrupt or truncated entry is treated as
@@ -36,12 +31,11 @@ variable (see :func:`default_cache`); when unset, caching is off, and a
 value that does not name a usable directory fails fast with an error
 naming the variable.  ``repro cache list|verify|gc`` (backed by
 :func:`cache_entries` / :func:`verify_cache` / :func:`gc_cache`) inspect
-and maintain a directory cache from the command line.
+and maintain a cache directory from the command line.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import json
 import os
@@ -49,7 +43,6 @@ import tempfile
 import time
 import types
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -233,99 +226,28 @@ def campaign_digest(
 
 
 # --------------------------------------------------------------------- #
-# Storage backends
+# The store
 # --------------------------------------------------------------------- #
 
 
-class CacheBackend(abc.ABC):
-    """A digest-keyed store of completed campaign result lists.
-
-    The contract every backend honours (and consumers rely on):
-
-    * keys are lowercase hex content digests (:func:`campaign_digest`);
-    * :meth:`get` returns the complete result list or None — never a
-      partial campaign (a backend that cannot prove completeness must
-      report a miss);
-    * :meth:`put` is atomic from a reader's point of view: a concurrent
-      :meth:`get` sees the old entry, no entry, or the new entry — never
-      a torn one;
-    * recomputing on a miss is always safe, so backends may drop entries
-      at any time (eviction, corruption, garbage collection).
-    """
-
-    @staticmethod
-    def check_key(key: str) -> str:
-        """Validate the digest-key form shared by every backend."""
-        if not key or any(c not in "0123456789abcdef" for c in key):
-            raise ValueError(f"cache keys are lowercase hex digests, got {key!r}")
-        return key
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[List[EpisodeResult]]:
-        """Return the cached results for ``key``, or None on a miss."""
-
-    @abc.abstractmethod
-    def put(self, key: str, results: Sequence[EpisodeResult]) -> str:
-        """Store ``results`` under ``key``; returns a backend-specific
-        location string (e.g. the entry path) for logging."""
-
-    @abc.abstractmethod
-    def keys(self) -> List[str]:
-        """Digests of every entry currently in the backend, sorted."""
-
-    def entry_count(self, key: str) -> Optional[int]:
-        """Record count of the entry for ``key``, or None when absent.
-
-        Backends override this when they can answer cheaper than a full
-        :meth:`get` (the directory backend counts lines without parsing).
-        """
-        hit = self.get(key)
-        return None if hit is None else len(hit)
-
-    @property
-    def directory(self) -> Optional[str]:
-        """The filesystem directory remote workers can share, or None.
-
-        The distributed scheduler hands this to worker processes so their
-        shard results land in the same store; purely in-memory backends
-        return None and workers simply run uncached.
-        """
-        return None
-
-    def __contains__(self, key: str) -> bool:
-        return self.entry_count(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(entries={len(self)})"
-
-
-def complete_hit(
-    cache: CacheBackend, key: str, total: int, label: str
-) -> Optional[List[EpisodeResult]]:
-    """The entry for ``key`` if it may stand in for running the campaign.
-
-    The one rule for accepting a cache hit: the entry holds exactly
-    ``total`` records and every record carries the campaign's
-    intervention ``label``.  Anything else is a miss, so an entry
-    written under this key by another arm is never served as this one.
-    """
-    hit = cache.get(key)
-    if hit is None or len(hit) != total or any(r.intervention != label for r in hit):
-        return None
-    return hit
-
-
-class DirectoryCacheBackend(CacheBackend):
+class CampaignCache:
     """A directory of completed campaigns keyed by content digest.
 
     Entries are plain campaign JSONL files (``<digest>.jsonl``), so every
     existing tool — ``CampaignResult.load``, ``repro merge``, manual
-    inspection — works on cache entries directly.  The layout is
-    byte-compatible with the pre-backend-split ``CampaignCache``, so
-    historical cache directories keep working unchanged.
+    inspection — works on cache entries directly, and remote workers and
+    the report pipeline share entries through one directory.
+
+    The contract consumers rely on:
+
+    * keys are lowercase hex content digests (:func:`campaign_digest`);
+    * :meth:`get` returns the complete result list or None — a corrupt or
+      truncated entry is discarded and reported as a miss;
+    * :meth:`put` is atomic from a reader's point of view: a concurrent
+      :meth:`get` sees the old entry, no entry, or the new entry — never
+      a torn one;
+    * recomputing on a miss is always safe, so entries may be dropped at
+      any time (corruption, ``repro cache gc``).
 
     Args:
         root: cache directory; created if missing (unless ``create=False``).
@@ -341,7 +263,9 @@ class DirectoryCacheBackend(CacheBackend):
 
     def path(self, key: str) -> str:
         """Filesystem path of the entry for ``key`` (whether or not present)."""
-        return os.path.join(self.root, f"{self.check_key(key)}.jsonl")
+        if not key or any(c not in "0123456789abcdef" for c in key):
+            raise ValueError(f"cache keys are lowercase hex digests, got {key!r}")
+        return os.path.join(self.root, f"{key}.jsonl")
 
     def get(self, key: str) -> Optional[List[EpisodeResult]]:
         """Return the cached results for ``key``, or None on a miss.
@@ -404,15 +328,8 @@ class DirectoryCacheBackend(CacheBackend):
         except (FileNotFoundError, NotADirectoryError):
             return None
 
-    @property
-    def directory(self) -> Optional[str]:
-        return self.root
-
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self.path(key))
-
     def keys(self) -> List[str]:
-        """Digests of every entry currently in the cache."""
+        """Digests of every entry currently in the cache, sorted."""
         try:
             names = sorted(os.listdir(self.root))
         except (FileNotFoundError, NotADirectoryError):
@@ -423,118 +340,30 @@ class DirectoryCacheBackend(CacheBackend):
             if name.endswith(".jsonl") and not name.startswith(".")
         ]
 
+    def __contains__(self, key: str) -> bool:
+        return os.path.exists(self.path(key))
+
+    def __len__(self) -> int:
+        return len(self.keys())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(root={self.root!r}, entries={len(self)})"
 
 
-class CampaignCache(DirectoryCacheBackend):
-    """The directory cache under its historical name.
+def complete_hit(
+    cache: CampaignCache, key: str, total: int, label: str
+) -> Optional[List[EpisodeResult]]:
+    """The entry for ``key`` if it may stand in for running the campaign.
 
-    Every pre-split call site (and the on-disk layout) keeps working;
-    new code that only needs the interface should accept any
-    :class:`CacheBackend`.
+    The one rule for accepting a cache hit: the entry holds exactly
+    ``total`` records and every record carries the campaign's
+    intervention ``label``.  Anything else is a miss, so an entry
+    written under this key by another arm is never served as this one.
     """
-
-
-class MemoryCacheBackend(CacheBackend):
-    """An in-process LRU cache of campaign results.
-
-    The cheap tier of a :class:`TieredCache`: the report DAG resolves the
-    same arms repeatedly (status probe, render, manifest check), and a
-    warm in-memory hit skips re-parsing a multi-thousand-line JSONL file
-    each time.  Entries are stored as immutable tuples and handed out as
-    fresh lists, so a caller mutating its result list can never corrupt
-    the cached copy.
-
-    Args:
-        max_entries: LRU capacity (>= 1); the least recently *used* entry
-            is evicted first.
-    """
-
-    def __init__(self, max_entries: int = 16) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Tuple[EpisodeResult, ...]]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[List[EpisodeResult]]:
-        self.check_key(key)
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return list(entry)
-
-    def put(self, key: str, results: Sequence[EpisodeResult]) -> str:
-        self.check_key(key)
-        self._entries[key] = tuple(results)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return f"memory:{key}"
-
-    def entry_count(self, key: str) -> Optional[int]:
-        self.check_key(key)
-        entry = self._entries.get(key)
-        return None if entry is None else len(entry)
-
-    def keys(self) -> List[str]:
-        return sorted(self._entries)
-
-
-class TieredCache(CacheBackend):
-    """Read-through composition of cache backends, fastest first.
-
-    ``get`` consults tiers in order and *promotes* a hit into every
-    faster tier, so repeated lookups are served by the cheapest backend
-    that has seen the entry; ``put`` writes through every tier.  The
-    canonical pairing is ``TieredCache(MemoryCacheBackend(),
-    DirectoryCacheBackend(root))``; a remote (HTTP/S3) backend appended
-    as the slowest tier turns this into a shared cache with a local
-    overlay, with no consumer changes.
-    """
-
-    def __init__(self, *tiers: CacheBackend) -> None:
-        if not tiers:
-            raise ValueError("TieredCache requires at least one backend tier")
-        self.tiers: Tuple[CacheBackend, ...] = tuple(tiers)
-
-    def get(self, key: str) -> Optional[List[EpisodeResult]]:
-        for index, tier in enumerate(self.tiers):
-            hit = tier.get(key)
-            if hit is not None:
-                for faster in self.tiers[:index]:
-                    faster.put(key, hit)
-                return hit
+    hit = cache.get(key)
+    if hit is None or len(hit) != total or any(r.intervention != label for r in hit):
         return None
-
-    def put(self, key: str, results: Sequence[EpisodeResult]) -> str:
-        locations = [tier.put(key, results) for tier in self.tiers]
-        return locations[-1]
-
-    def entry_count(self, key: str) -> Optional[int]:
-        for tier in self.tiers:
-            count = tier.entry_count(key)
-            if count is not None:
-                return count
-        return None
-
-    def keys(self) -> List[str]:
-        merged = set()
-        for tier in self.tiers:
-            merged.update(tier.keys())
-        return sorted(merged)
-
-    @property
-    def directory(self) -> Optional[str]:
-        for tier in self.tiers:
-            if tier.directory is not None:
-                return tier.directory
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(repr(tier) for tier in self.tiers)
-        return f"TieredCache({inner})"
+    return hit
 
 
 def default_cache(create: bool = True) -> Optional[CampaignCache]:
@@ -565,6 +394,23 @@ def default_cache(create: bool = True) -> Optional[CampaignCache]:
         ) from None
 
 
+def resolve_cache(
+    setting: Union[CampaignCache, None, bool]
+) -> Optional[CampaignCache]:
+    """Resolve the tri-state ``cache`` argument of the public entry points.
+
+    ``None``/``True`` defer to :func:`default_cache` (``REPRO_CACHE_DIR``),
+    ``False`` disables caching outright, and a :class:`CampaignCache`
+    passes through.  ``run_campaign`` and ``dispatch_campaign`` resolve
+    it once; every layer below them takes the resolved cache or None.
+    """
+    if setting is None or setting is True:
+        return default_cache()
+    if setting is False:
+        return None
+    return setting
+
+
 # --------------------------------------------------------------------- #
 # Cache maintenance (``repro cache list | verify | gc``)
 # --------------------------------------------------------------------- #
@@ -572,7 +418,7 @@ def default_cache(create: bool = True) -> Optional[CampaignCache]:
 
 @dataclass(frozen=True)
 class CacheEntryInfo:
-    """One directory-cache entry as reported by ``repro cache list``.
+    """One cache entry as reported by ``repro cache list``.
 
     Attributes:
         key: the full content digest.
@@ -590,7 +436,7 @@ class CacheEntryInfo:
 
 
 def cache_entries(
-    cache: DirectoryCacheBackend, now: Optional[float] = None
+    cache: CampaignCache, now: Optional[float] = None
 ) -> List[CacheEntryInfo]:
     """Inventory of every entry in a directory cache, sorted by key.
 
@@ -621,10 +467,10 @@ def cache_entries(
     return entries
 
 
-def verify_cache(cache: DirectoryCacheBackend) -> Dict[str, Optional[str]]:
+def verify_cache(cache: CampaignCache) -> Dict[str, Optional[str]]:
     """Strict-load every entry; map each key to None (ok) or its error.
 
-    Unlike :meth:`DirectoryCacheBackend.get`, verification is **read
+    Unlike :meth:`CampaignCache.get`, verification is **read
     only** — a corrupt entry is reported, never deleted (that is ``gc``'s
     job, and the operator may want to inspect the bytes first).  An entry
     fails when it does not strict-load, or when its records carry mixed
@@ -649,7 +495,7 @@ def verify_cache(cache: DirectoryCacheBackend) -> Dict[str, Optional[str]]:
 
 
 def gc_cache(
-    cache: DirectoryCacheBackend,
+    cache: CampaignCache,
     keep_days: float,
     now: Optional[float] = None,
 ) -> Tuple[List[str], int]:

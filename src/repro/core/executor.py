@@ -166,12 +166,11 @@ def run_steps(
 ) -> EpisodeResult:
     """Step ``platform`` from step ``start`` to the end of its episode.
 
-    The executors' one scalar step loop: :class:`SerialExecutor` runs
-    every episode through it from step 0, and :class:`BatchExecutor`
-    finishes the lanes of a narrow lockstep through it from the step they
-    reached.  The call sequence is ``SimulationPlatform.run``'s; with a
-    ``profile`` the clock is read between the phases, which changes no
-    result.
+    The one scalar step loop: ``SimulationPlatform.run`` and
+    :class:`SerialExecutor` run every episode through it from step 0, and
+    :class:`BatchExecutor` finishes the lanes of a narrow lockstep through
+    it from the step they reached.  With a ``profile`` the clock is read
+    between the phases, which changes no result.
     """
     dt = platform.dt
     for step_index in range(start, platform.max_steps):

@@ -52,11 +52,13 @@ persistence layer on top of that format makes campaigns distributable:
   streams to the file in slices of the executor's
   :meth:`~repro.core.executor.CampaignExecutor.stream_width` (under
   ``executor="batch"``, the lane cap, or the whole remainder uncapped).
-* **cache** — ``run_campaign(..., cache=...)`` (default: the
-  ``REPRO_CACHE_DIR`` environment variable, see
-  :func:`repro.core.cache.default_cache`) consults a digest-keyed
-  :class:`~repro.core.cache.CampaignCache` before executing anything, so a
-  repeated campaign executes zero episodes.
+* **cache** — ``run_campaign(..., cache=...)`` consults a digest-keyed
+  :class:`~repro.core.cache.CampaignCache` directory before executing
+  anything, so a repeated campaign executes zero episodes.  The argument
+  is resolved here, once (:func:`repro.core.cache.resolve_cache`):
+  ``None``/``True`` mean the ``REPRO_CACHE_DIR`` environment variable,
+  ``False`` means off; every layer below takes the resolved cache or
+  None.
 * **sharding** — a contiguous slice of the enumeration (see
   :class:`~repro.attacks.campaign.ShardSpec`) runs anywhere as an ordinary
   episode-list campaign; :func:`merge_shards` validates and reassembles the
@@ -66,7 +68,11 @@ persistence layer on top of that format makes campaigns distributable:
 (:mod:`repro.core.scheduler`): it builds a single-shard
 :class:`~repro.core.scheduler.CampaignPlan` and executes it in-process,
 so the one implementation of cache-consult / resume / streaming behaviour
-is shared with every multi-worker backend (``repro dispatch``).
+is shared with every multi-worker backend (``repro dispatch``).  Whether
+a campaign's results are already stored — cache entry, then resume file
+— is answered by one rule, :func:`~repro.core.scheduler.load_stored`
+(with :func:`~repro.core.scheduler.stored_count` as its cheap form),
+which the report engine's status probe and loads share.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
-from repro.core.cache import CacheBackend
+from repro.core.cache import CampaignCache, resolve_cache
 from repro.core.executor import CampaignExecutor, ExecutionPolicy
 from repro.core.metrics import (
     AggregateStats,
@@ -218,7 +224,7 @@ def run_campaign(
     executor: Union[str, CampaignExecutor, None] = None,
     lanes: Optional[int] = None,
     resume_path: Optional[PathLike] = None,
-    cache: Union[CacheBackend, None, bool] = None,
+    cache: Union[CampaignCache, None, bool] = None,
     **platform_kwargs,
 ) -> CampaignResult:
     """Run every episode of ``campaign`` under ``interventions``.
@@ -268,8 +274,7 @@ def run_campaign(
             point, so mismatched families/points are still caught).
             Missing files simply mean a fresh run whose results land at
             this path.
-        cache: a :class:`~repro.core.cache.CacheBackend` (e.g. a
-            :class:`~repro.core.cache.CampaignCache` directory) to
+        cache: a :class:`~repro.core.cache.CampaignCache` to
             consult/populate, ``None``/``True`` to use the
             ``REPRO_CACHE_DIR`` environment default, or ``False`` to
             disable caching outright.  A cache hit returns the stored
@@ -294,7 +299,11 @@ def run_campaign(
         executor = ExecutionPolicy(executor, jobs, lanes).resolve()
     (job,) = plan.jobs
     return execute_shard(
-        job, executor, progress=progress, resume_path=resume_path, cache=cache
+        job,
+        executor,
+        progress=progress,
+        resume_path=resume_path,
+        cache=resolve_cache(cache),
     )
 
 

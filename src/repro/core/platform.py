@@ -173,15 +173,14 @@ class SimulationPlatform:
     # ------------------------------------------------------------------ #
 
     def run(self) -> EpisodeResult:
-        """Execute the episode and return its measurements."""
-        result = self._begin_episode()
-        for step_index in range(self.max_steps):
-            self._control_phase(step_index, result)
-            self.world.step(self.dt)
-            if self._after_dynamics(step_index, result):
-                break
-        self._finish_episode(result)
-        return result
+        """Execute the episode and return its measurements.
+
+        The steps go through the executors' one scalar step loop,
+        :func:`repro.core.executor.run_steps`.
+        """
+        from repro.core.executor import run_steps  # executor imports us
+
+        return run_steps(self, self._begin_episode())
 
     def _begin_episode(self) -> EpisodeResult:
         """Reset per-episode state and return a fresh result record."""

@@ -32,6 +32,13 @@ explicit three-phase pipeline:
   write-throughs the shared cache so the incremental report pipeline sees
   the completed grid.
 
+Whether a job's results are already stored — a complete cache entry,
+then the valid prefix of its resume file — is answered in one place:
+:func:`load_stored` parses and validates (:func:`execute_shard`, the
+dispatch probe and the report engine's loads call it), and
+:func:`stored_count` counts cheaply (``repro report-status``, the
+fleet's skip-before-spawn check).
+
 Crash recovery falls out of the protocol: a worker killed mid-shard
 leaves a valid JSONL prefix behind, and the next dispatch of the same
 plan resumes that shard from the prefix — completed episodes never
@@ -62,16 +69,16 @@ from repro.attacks.campaign import (
     as_episode_list,
 )
 from repro.core.cache import (
-    CacheBackend,
+    CampaignCache,
     campaign_digest,
     canonical_episode,
     canonical_interventions,
     complete_hit,
-    default_cache,
     episode_from_canonical,
     factory_token,
     interventions_from_canonical,
     read_digest_sidecar,
+    resolve_cache,
     write_digest_sidecar,
 )
 from repro.core.executor import (
@@ -112,8 +119,43 @@ class SchedulerError(RuntimeError):
 # --------------------------------------------------------------------- #
 
 
+class _ContentKeyed:
+    """The episode count and memoized content digest shared by
+    :class:`ShardJob` and :class:`CampaignPlan`."""
+
+    episodes: Tuple[EpisodeSpec, ...]
+    interventions: InterventionConfig
+    ml_token: Optional[str]
+    platform_kwargs: Tuple[Tuple[str, object], ...]
+
+    @property
+    def total(self) -> int:
+        """Episode count."""
+        return len(self.episodes)
+
+    def digest(self) -> str:
+        """Content digest of these episodes as a standalone campaign.
+
+        For a shard job it is what ``repro campaign --shard I/N`` records
+        in its sidecar for the same slice — the key a worker's results are
+        validated (and optionally cached) under.  Computed lazily and
+        memoized: the hot in-process single-shard path only pays for it
+        when a cache or resume file is actually in play.
+        """
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            memo = campaign_digest(
+                list(self.episodes),
+                self.interventions,
+                ml_token=self.ml_token,
+                **dict(self.platform_kwargs),
+            )
+            object.__setattr__(self, "_digest", memo)
+        return memo
+
+
 @dataclass(frozen=True)
-class ShardJob:
+class ShardJob(_ContentKeyed):
     """One dispatchable unit: a contiguous, digest-keyed campaign slice.
 
     Attributes:
@@ -136,31 +178,6 @@ class ShardJob:
     ml_token: Optional[str] = None
     platform_kwargs: Tuple[Tuple[str, object], ...] = ()
 
-    @property
-    def total(self) -> int:
-        """Episode count of this shard."""
-        return len(self.episodes)
-
-    def digest(self) -> str:
-        """Content digest of this shard as a standalone campaign.
-
-        Identical to what ``repro campaign --shard I/N`` records in its
-        sidecar for the same slice — the key a worker's results are
-        validated (and optionally cached) under.  Computed lazily and
-        memoized: the hot in-process single-shard path only pays for it
-        when a cache or resume file is actually in play.
-        """
-        memo = self.__dict__.get("_digest")
-        if memo is None:
-            memo = campaign_digest(
-                list(self.episodes),
-                self.interventions,
-                ml_token=self.ml_token,
-                **dict(self.platform_kwargs),
-            )
-            object.__setattr__(self, "_digest", memo)
-        return memo
-
     def file_name(self) -> str:
         """Canonical shard JSONL name inside a dispatch work directory.
 
@@ -175,7 +192,7 @@ class ShardJob:
 
 
 @dataclass(frozen=True)
-class CampaignPlan:
+class CampaignPlan(_ContentKeyed):
     """A campaign decomposed into its ordered, non-overlapping shard jobs.
 
     Build via :meth:`build`; the invariant (inherited from
@@ -191,24 +208,6 @@ class CampaignPlan:
     ml_factory: Optional[Callable[[], object]] = None
     ml_token: Optional[str] = None
     platform_kwargs: Tuple[Tuple[str, object], ...] = ()
-
-    @property
-    def total(self) -> int:
-        """Episode count of the full campaign."""
-        return len(self.episodes)
-
-    def digest(self) -> str:
-        """Content digest of the full (unsharded) campaign."""
-        memo = self.__dict__.get("_digest")
-        if memo is None:
-            memo = campaign_digest(
-                list(self.episodes),
-                self.interventions,
-                ml_token=self.ml_token,
-                **dict(self.platform_kwargs),
-            )
-            object.__setattr__(self, "_digest", memo)
-        return memo
 
     @classmethod
     def build(
@@ -264,22 +263,6 @@ class CampaignPlan:
         )
 
 
-def resolve_cache(
-    cache: Union[CacheBackend, None, bool]
-) -> Optional[CacheBackend]:
-    """Normalise the tri-state cache argument every entry point accepts.
-
-    ``None``/``True`` defer to the ``REPRO_CACHE_DIR`` environment default,
-    ``False`` disables caching outright, and a :class:`CacheBackend`
-    passes through.
-    """
-    if cache is None or cache is True:
-        return default_cache()
-    if cache is False:
-        return None
-    return cache
-
-
 def _cacheable(job_or_plan) -> bool:
     """Whether results may be keyed in a cache at all.
 
@@ -291,8 +274,100 @@ def _cacheable(job_or_plan) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# In-process shard execution (the primitive behind ``run_campaign``)
+# The stored-results rule and in-process shard execution (the primitive
+# behind ``run_campaign``)
 # --------------------------------------------------------------------- #
+
+
+def _foreign_digest(
+    job: Union[ShardJob, CampaignPlan], path: PathLike
+) -> Optional[str]:
+    """The digest ``path``'s ``.digest`` sidecar records if it is not
+    ``job``'s; None when it matches or there is no sidecar (a hand-built
+    or pre-sidecar file, whose records are checked one by one instead)."""
+    recorded = read_digest_sidecar(path)
+    return None if recorded is None or recorded == job.digest() else recorded
+
+
+def stored_count(
+    job: ShardJob,
+    cache: Optional[CampaignCache] = None,
+    resume_path: Optional[PathLike] = None,
+) -> Tuple[Optional[str], int]:
+    """Where ``job``'s results are stored, and how many: the cheap form of
+    the stored-results rule.
+
+    Returns ``("cache", job.total)`` when the cache entry counts at least
+    ``job.total`` lines; else ``("resume", n)`` for an existing resume
+    file whose ``.digest`` sidecar is absent or names this job, ``n``
+    being the records of its valid prefix; else ``(None, 0)``.
+
+    Nothing is validated, so a corrupt entry or a foreign prefix still
+    counts: this answers status displays and skip-before-spawn checks,
+    while results are only ever served through :func:`load_stored` (or,
+    for fleet shards, :func:`collect_shards`' strict merge).
+    """
+    if cache is not None and _cacheable(job):
+        count = cache.entry_count(job.digest())
+        if count is not None and count >= job.total:
+            return "cache", job.total
+    if resume_path is not None and os.path.exists(resume_path):
+        # A file whose sidecar names another digest belongs to another
+        # campaign, so it contributes nothing.
+        if _foreign_digest(job, resume_path) is None:
+            return "resume", count_records(resume_path)
+    return None, 0
+
+
+def load_stored(
+    job: Union[ShardJob, CampaignPlan],
+    cache: Optional[CampaignCache] = None,
+    resume_path: Optional[PathLike] = None,
+) -> Tuple[Optional[List[EpisodeResult]], List[EpisodeResult]]:
+    """``job``'s stored results, parsed and validated: the authoritative
+    form of the stored-results rule.
+
+    Returns ``(hit, prior)``: ``hit`` is the cache entry if
+    :func:`~repro.core.cache.complete_hit` accepts it, else None; ``prior``
+    is the valid prefix of the resume file (truncated final lines
+    tolerated), empty when there is none.  A hit stands for the whole
+    campaign; otherwise only the episodes after ``prior`` remain.  A
+    :class:`CampaignPlan` is probed the same way, for its full-campaign
+    entry.
+
+    The resume file is checked first, hit or not: a hit gets written into
+    it, and that must never clobber another campaign's file.
+
+    Raises:
+        ValueError: the resume file's sidecar names another digest, or its
+            records are not a prefix of this job (wrong label, episode
+            identity or length).
+    """
+    label = job.interventions.label()
+    prior: List[EpisodeResult] = []
+    if resume_path is not None and os.path.exists(resume_path):
+        recorded = _foreign_digest(job, resume_path)
+        if recorded is not None:
+            raise ValueError(
+                f"{resume_path}: recorded campaign digest {recorded[:16]}… "
+                f"does not match this invocation's {job.digest()[:16]}…; "
+                "the file was written under different inputs (platform "
+                "overrides, interventions or grid) — refusing to resume"
+            )
+        prior = load_results(resume_path)
+        _validate_resume_prefix(prior, job.episodes, label, resume_path)
+    hit = None
+    if cache is not None and _cacheable(job):
+        hit = complete_hit(cache, job.digest(), job.total, label)
+    return hit, prior
+
+
+def _rewrite(path: PathLike, results: List[EpisodeResult], digest: str) -> None:
+    """Atomically replace a resume file with ``results``, plus its sidecar."""
+    tmp = f"{os.fspath(path)}.tmp"
+    save_results(results, tmp)
+    os.replace(tmp, path)
+    write_digest_sidecar(path, digest)
 
 
 def execute_shard(
@@ -300,7 +375,7 @@ def execute_shard(
     executor: CampaignExecutor,
     progress: Optional[ProgressCallback] = None,
     resume_path: Optional[PathLike] = None,
-    cache: Union[CacheBackend, None, bool] = None,
+    cache: Optional[CampaignCache] = None,
 ) -> CampaignResult:
     """Run one :class:`ShardJob` to completion in this process.
 
@@ -322,70 +397,35 @@ def execute_shard(
             its episodes skipped; only the remainder executes, streamed to
             the file batch by batch, and a ``.digest`` sidecar refuses
             files written under different inputs.
-        cache: a :class:`CacheBackend` to consult/populate, ``None``/
-            ``True`` for the ``REPRO_CACHE_DIR`` default, ``False`` to
-            disable.  A hit returns the stored results without executing
-            a single episode.
+        cache: the cache to consult and populate, or None for none.  A
+            hit returns the stored results without executing a single
+            episode.
 
     Returns:
         A :class:`CampaignResult` in the shard's enumeration order,
         bit-identical regardless of backend, resumption or caching.
     """
-    episodes = list(job.episodes)
     interventions = job.interventions
-    ml_factory = job.ml_factory
-    platform_kwargs = dict(job.platform_kwargs)
     label = interventions.label()
-    total = len(episodes)
-
-    cache = resolve_cache(cache)
-    if cache is not None and not _cacheable(job):
-        cache = None
-    key: Optional[str] = None
-    if cache is not None:
-        key = job.digest()
-
-    # ---- resume: load and validate the prefix *before* anything can
-    # overwrite the file (a cache hit included) -------------------------
-    resume_digest: Optional[str] = None
-    prior: List[EpisodeResult] = []
-    if resume_path is not None:
-        resume_digest = job.digest()
-        if os.path.exists(resume_path):
-            recorded = read_digest_sidecar(resume_path)
-            if recorded is not None and recorded != resume_digest:
-                raise ValueError(
-                    f"{resume_path}: recorded campaign digest {recorded[:16]}… "
-                    f"does not match this invocation's {resume_digest[:16]}…; "
-                    "the file was written under different inputs (platform "
-                    "overrides, interventions or grid) — refusing to resume"
-                )
-            prior = load_results(resume_path)
-            _validate_resume_prefix(prior, episodes, label, resume_path)
-
-    # ---- cache consultation --------------------------------------------
-    if key is not None:
-        hit = complete_hit(cache, key, total, label)
-        if hit is not None:
-            if progress is not None:
-                progress(total, total)
-            if resume_path is not None:
-                hit_tmp = f"{os.fspath(resume_path)}.tmp"
-                save_results(hit, hit_tmp)
-                os.replace(hit_tmp, resume_path)
-                write_digest_sidecar(resume_path, resume_digest)
-            return CampaignResult(intervention=label, results=hit)
+    total = job.total
+    hit, prior = load_stored(job, cache, resume_path)
+    if hit is not None:
+        if progress is not None:
+            progress(total, total)
+        if resume_path is not None:
+            _rewrite(resume_path, hit, job.digest())
+        return CampaignResult(intervention=label, results=hit)
 
     # ---- execute the remainder ------------------------------------------
-    remaining = episodes[len(prior) :]
+    platform_kwargs = dict(job.platform_kwargs)
     tasks = [
         EpisodeTask.make(
             spec,
             interventions,
-            ml_factory=ml_factory if interventions.ml else None,
+            ml_factory=job.ml_factory if interventions.ml else None,
             **platform_kwargs,
         )
-        for spec in remaining
+        for spec in job.episodes[len(prior) :]
     ]
     skipped = len(prior)
     if progress is not None and skipped:
@@ -408,10 +448,7 @@ def execute_shard(
         # a crash mid-append only dangles a final line, which the next
         # resume's prefix load already tolerates.  The executor sets the
         # batch width (see CampaignExecutor.stream_width).
-        rewrite_tmp = f"{os.fspath(resume_path)}.tmp"
-        save_results(prior, rewrite_tmp)
-        os.replace(rewrite_tmp, resume_path)
-        write_digest_sidecar(resume_path, resume_digest)
+        _rewrite(resume_path, prior, job.digest())
         batch_size = executor.stream_width(len(tasks))
         for start in range(0, len(tasks), batch_size):
             batch = tasks[start : start + batch_size]
@@ -426,8 +463,8 @@ def execute_shard(
             save_results(batch_results, resume_path, append=True)
 
     results = prior + new
-    if cache is not None and key is not None:
-        cache.put(key, results)
+    if cache is not None and _cacheable(job):
+        cache.put(job.digest(), results)
     return CampaignResult(intervention=label, results=results)
 
 
@@ -615,7 +652,7 @@ class WorkerBackend(abc.ABC):
         self,
         plan: CampaignPlan,
         workdir: str,
-        cache: Optional[CacheBackend] = None,
+        cache: Optional[CampaignCache] = None,
         progress: Optional[ProgressCallback] = None,
         log: Optional[LogCallback] = None,
     ) -> List[str]:
@@ -630,17 +667,13 @@ def shard_path(job: ShardJob, workdir: str) -> str:
 def shard_complete(job: ShardJob, path: PathLike) -> bool:
     """Cheap completeness probe for a shard file (skip-before-spawn).
 
-    True when the file exists, its sidecar (if any) names this job's
-    digest, and its resumable prefix covers every episode.  Cheap by
-    design — :func:`collect_shards` still strict-validates before any
-    result is used.
+    True when :func:`stored_count` counts the file — it exists and its
+    sidecar (if any) names this job's digest — and its resumable prefix
+    covers every episode.  Cheap by design — :func:`collect_shards` still
+    strict-validates before any result is used.
     """
-    if not os.path.exists(path):
-        return False
-    recorded = read_digest_sidecar(path)
-    if recorded is not None and recorded != job.digest():
-        return False
-    return count_records(path) >= job.total
+    source, done = stored_count(job, resume_path=path)
+    return source is not None and done >= job.total
 
 
 class InProcessBackend(WorkerBackend):
@@ -669,7 +702,7 @@ class InProcessBackend(WorkerBackend):
         self,
         plan: CampaignPlan,
         workdir: str,
-        cache: Optional[CacheBackend] = None,
+        cache: Optional[CampaignCache] = None,
         progress: Optional[ProgressCallback] = None,
         log: Optional[LogCallback] = None,
     ) -> List[str]:
@@ -695,7 +728,7 @@ class InProcessBackend(WorkerBackend):
                     executor,
                     progress=sub_progress,
                     resume_path=path,
-                    cache=cache if cache is not None else False,
+                    cache=cache,
                 )
             done += job.total
             if progress is not None:
@@ -788,11 +821,11 @@ class SubprocessFleetBackend(WorkerBackend):
         self,
         plan: CampaignPlan,
         workdir: str,
-        cache: Optional[CacheBackend] = None,
+        cache: Optional[CampaignCache] = None,
         progress: Optional[ProgressCallback] = None,
         log: Optional[LogCallback] = None,
     ) -> List[str]:
-        cache_dir = cache.directory if cache is not None else None
+        cache_dir = cache.root if cache is not None else None
         if cache is not None and not _cacheable(plan):
             cache_dir = None
         ml_pickle_name: Optional[str] = None
@@ -1044,7 +1077,7 @@ register_backend(SSHBackend)
 def collect_shards(
     plan: CampaignPlan,
     paths: Sequence[str],
-    cache: Optional[CacheBackend] = None,
+    cache: Optional[CampaignCache] = None,
 ) -> CampaignResult:
     """Validate and merge dispatched shard files into the full campaign.
 
@@ -1065,8 +1098,8 @@ def collect_shards(
             f"collect expected {len(plan.jobs)} shard files, got {len(paths)}"
         )
     for job, path in zip(plan.jobs, paths):
-        recorded = read_digest_sidecar(path)
-        if recorded is not None and recorded != job.digest():
+        recorded = _foreign_digest(job, path)
+        if recorded is not None:
             raise SchedulerError(
                 f"{path}: sidecar records digest {recorded[:16]}… but the "
                 f"plan's shard {job.shard} is {job.digest()[:16]}…; the file "
@@ -1107,7 +1140,7 @@ def dispatch_campaign(
     shards: Optional[int] = None,
     workdir: Optional[PathLike] = None,
     ml_factory: Optional[Callable[[], object]] = None,
-    cache: Union[CacheBackend, None, bool] = None,
+    cache: Union[CampaignCache, None, bool] = None,
     progress: Optional[ProgressCallback] = None,
     log: Optional[LogCallback] = None,
     **platform_kwargs,
@@ -1157,15 +1190,13 @@ def dispatch_campaign(
         **platform_kwargs,
     )
     cache = resolve_cache(cache)
-    label = interventions.label()
-    if cache is not None and _cacheable(plan):
-        hit = complete_hit(cache, plan.digest(), plan.total, label)
-        if hit is not None:
-            if log is not None:
-                log(f"campaign {plan.digest()[:16]}…: cache hit, zero episodes")
-            if progress is not None:
-                progress(plan.total, plan.total)
-            return CampaignResult(intervention=label, results=hit)
+    hit, _ = load_stored(plan, cache)
+    if hit is not None:
+        if log is not None:
+            log(f"campaign {plan.digest()[:16]}…: cache hit, zero episodes")
+        if progress is not None:
+            progress(plan.total, plan.total)
+        return CampaignResult(intervention=interventions.label(), results=hit)
 
     tmp_workdir: Optional[str] = None
     if workdir is None:

@@ -1,10 +1,10 @@
-"""Pluggable cache-backend tests.
+"""Cache store tests.
 
-Covers the :class:`CacheBackend` split — directory backend byte-compat
-with the historical ``CampaignCache``, the in-memory LRU, read-through
-``TieredCache`` composition — plus the environment fail-fast behaviour
-of ``default_cache`` and the ``repro cache`` maintenance helpers
-(inventory / verify / gc).
+Covers the canonical-form round trips the worker spec files rely on,
+the on-disk layout of the one cache class (``<digest>.jsonl`` entries
+in a directory, byte-compatible with every historical cache), the
+environment fail-fast behaviour of ``default_cache`` and the ``repro
+cache`` maintenance helpers (inventory / verify / gc).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ import pytest
 from repro.attacks.campaign import CampaignSpec
 from repro.attacks.fi import FaultType
 from repro.core.cache import (
-    CacheBackend,
     CampaignCache,
-    DirectoryCacheBackend,
-    MemoryCacheBackend,
-    TieredCache,
     cache_entries,
     campaign_digest,
     default_cache,
@@ -50,7 +46,6 @@ CFG = InterventionConfig()
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
-KEY_C = "c" * 64
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +90,10 @@ class TestCanonicalRoundTrip:
 
 
 class TestDirectoryBackend:
-    def test_campaign_cache_is_the_directory_backend(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        assert isinstance(cache, DirectoryCacheBackend)
-        assert isinstance(cache, CacheBackend)
-        assert cache.directory == str(tmp_path)
-
     def test_layout_unchanged(self, tmp_path, results):
         # The on-disk exchange format: <digest>.jsonl, loadable by every
-        # JSONL consumer — the byte-compat contract of the backend split.
-        cache = DirectoryCacheBackend(str(tmp_path))
+        # JSONL consumer.
+        cache = CampaignCache(str(tmp_path))
         key = campaign_digest(SPEC, CFG, max_steps=200)
         path = cache.put(key, results)
         assert path == os.path.join(str(tmp_path), f"{key}.jsonl")
@@ -113,96 +102,10 @@ class TestDirectoryBackend:
         assert cache.keys() == [key]
 
     def test_missing_directory_reads_as_empty(self, tmp_path):
-        cache = DirectoryCacheBackend(str(tmp_path / "never"), create=False)
+        cache = CampaignCache(str(tmp_path / "never"), create=False)
         assert cache.keys() == []
         assert len(cache) == 0
         assert KEY_A not in cache
-
-
-class TestMemoryBackend:
-    def test_put_get_round_trip(self, results):
-        cache = MemoryCacheBackend()
-        cache.put(KEY_A, results)
-        assert cache.get(KEY_A) == results
-        assert cache.entry_count(KEY_A) == len(results)
-        assert cache.get(KEY_B) is None
-        assert cache.keys() == [KEY_A]
-
-    def test_lru_eviction_order(self, results):
-        cache = MemoryCacheBackend(max_entries=2)
-        cache.put(KEY_A, results)
-        cache.put(KEY_B, results)
-        cache.get(KEY_A)  # refresh A: B is now least recently used
-        cache.put(KEY_C, results)
-        assert cache.get(KEY_B) is None
-        assert cache.get(KEY_A) is not None
-        assert cache.get(KEY_C) is not None
-
-    def test_returned_list_is_isolated(self, results):
-        cache = MemoryCacheBackend()
-        cache.put(KEY_A, results)
-        hit = cache.get(KEY_A)
-        hit.clear()  # a caller mutating its copy must not corrupt the cache
-        assert cache.get(KEY_A) == results
-
-    def test_invalid_capacity_and_keys(self, results):
-        with pytest.raises(ValueError, match="max_entries"):
-            MemoryCacheBackend(max_entries=0)
-        cache = MemoryCacheBackend()
-        with pytest.raises(ValueError, match="lowercase hex"):
-            cache.put("NOT-HEX", results)
-
-
-class TestTieredCache:
-    def test_write_through_all_tiers(self, tmp_path, results):
-        memory = MemoryCacheBackend()
-        directory = DirectoryCacheBackend(str(tmp_path))
-        tiered = TieredCache(memory, directory)
-        tiered.put(KEY_A, results)
-        assert memory.get(KEY_A) == results
-        assert directory.get(KEY_A) == results
-
-    def test_read_through_promotes_into_faster_tier(self, tmp_path, results):
-        memory = MemoryCacheBackend()
-        directory = DirectoryCacheBackend(str(tmp_path))
-        directory.put(KEY_A, results)
-        tiered = TieredCache(memory, directory)
-        assert memory.get(KEY_A) is None
-        assert tiered.get(KEY_A) == results
-        assert memory.get(KEY_A) == results  # promoted
-
-        # A promoted entry is served even after the slow tier loses it.
-        os.remove(directory.path(KEY_A))
-        assert tiered.get(KEY_A) == results
-
-    def test_entry_count_and_keys_merge_tiers(self, tmp_path, results):
-        memory = MemoryCacheBackend()
-        directory = DirectoryCacheBackend(str(tmp_path))
-        memory.put(KEY_A, results)
-        directory.put(KEY_B, results)
-        tiered = TieredCache(memory, directory)
-        assert tiered.keys() == sorted([KEY_A, KEY_B])
-        assert tiered.entry_count(KEY_A) == len(results)
-        assert tiered.entry_count(KEY_B) == len(results)
-        assert tiered.entry_count(KEY_C) is None
-        assert tiered.directory == str(tmp_path)
-
-    def test_requires_a_tier(self):
-        with pytest.raises(ValueError, match="at least one"):
-            TieredCache()
-
-    def test_run_campaign_accepts_tiered_cache(self, tmp_path, results):
-        tiered = TieredCache(
-            MemoryCacheBackend(), DirectoryCacheBackend(str(tmp_path))
-        )
-        first = run_campaign(SPEC, CFG, cache=tiered, max_steps=200)
-        assert first.results == results
-        # Second run is a pure memory hit: delete the directory tier's
-        # entry and the campaign must still be served without executing.
-        key = campaign_digest(SPEC, CFG, max_steps=200)
-        os.remove(DirectoryCacheBackend(str(tmp_path)).path(key))
-        again = run_campaign(SPEC, CFG, cache=tiered, max_steps=200)
-        assert again.results == results
 
 
 class TestDefaultCacheEnvironment:

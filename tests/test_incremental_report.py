@@ -315,6 +315,71 @@ class TestIncrementalRun:
         }
 
 
+class TestResumeOnlyArm:
+    """An arm stored only as a complete resume file, with no cache at
+    all, is complete: ``report-status`` counts it from the resume
+    directory and an incremental run renders it without executing."""
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "bare"])
+    def test_complete_resume_file_renders_without_execution(
+        self, sidecar, tmp_path, mocked_figs, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        resume_dir = os.path.join(str(tmp_path), "resume")
+        config = small_config(tmp_path, cache_dir=None, resume_dir=resume_dir)
+        engine = IncrementalReportEngine(config)
+        arm = engine_arms(engine)["fault-free"]
+        digest = campaign_digest(arm.campaign, arm.interventions)
+        path = resume_file_for(resume_dir, digest)
+        fakes = fake_results(arm.campaign, "none")
+        save_results(fakes, path)
+        if sidecar:
+            write_digest_sidecar(path, digest)
+
+        rc = main(
+            [
+                "report-status", "--reps", "1", "--seed", "5",
+                "--reaction-times", "2.5", "--resume", resume_dir,
+                "--output", str(tmp_path / "report.md"), "--json",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        states = {a["id"]: a["state"] for a in doc["artifacts"]}
+        assert states["table4"] == states["table5"] == "ready"
+        assert states["table6"] == "missing"
+        fault_free = {
+            a["name"]: a for art in doc["artifacts"] for a in art["arms"]
+        }["fault-free"]
+        assert fault_free["state"] == "resumable-complete"
+        assert (fault_free["episodes_done"], fault_free["episodes_total"]) == (
+            len(fakes), len(fakes),
+        )
+
+        import repro.core.executor as executor
+
+        def boom(*args, **kwargs):
+            raise AssertionError("incremental render executed episodes")
+
+        monkeypatch.setattr(executor, "_build_platform", boom)
+        outcome = engine.run(incremental=True)
+        assert set(outcome.rendered_ids) == {"table4", "table5", "fig5", "fig6"}
+        assert set(outcome.pending_ids) == {"table6", "table7", "table8"}
+
+        # The resume file serves the very records a cache entry would.
+        cached = small_config(tmp_path)
+        cached_engine = IncrementalReportEngine(cached)
+        cached.cache().put(digest, fakes)
+        bodies = {
+            o.artifact.artifact_id: o.body
+            for o in cached_engine.run(incremental=True).artifacts
+        }
+        for o in outcome.artifacts:
+            if o.artifact.artifact_id in ("table4", "table5"):
+                assert o.body == bodies[o.artifact.artifact_id]
+
+
 class TestReportErrorHandling:
     def _poison_fault_free(self, config, engine):
         """A resume file that *looks* complete but fails resume validation
@@ -367,6 +432,28 @@ class TestReportErrorHandling:
         entries = load_manifest(manifest)
         assert "table4" not in entries
         assert "table6" in entries
+
+    def test_refused_resume_file_fails_a_cached_arm_in_both_modes(
+        self, tmp_path, mocked_figs
+    ):
+        """Both modes apply one stored-results rule: the resume file is
+        checked before a cache hit is served (blocking writes the hit into
+        it), so a file resume would refuse fails its arm in incremental
+        mode too, although the cache holds the arm."""
+        config = small_config(
+            tmp_path, resume_dir=os.path.join(str(tmp_path), "resume")
+        )
+        engine = IncrementalReportEngine(config)
+        cache = config.cache()
+        for arm in engine_arms(engine).values():
+            seed_arm(cache, arm)
+        digest = self._poison_fault_free(config, engine)
+        outcome = engine.run(incremental=True)
+        assert set(outcome.failed_ids) == {"table4", "table5"}
+        assert "refusing to resume" in outcome.text
+        with pytest.raises(ReportError, match="refusing to resume") as err:
+            generate_report(config)
+        assert err.value.digest == digest
 
 
 # One engine build just to enumerate the DAG's arm names for sampling.
