@@ -60,7 +60,12 @@ from repro.attacks.campaign import (
 )
 from repro.core.cache import resume_entry_path
 from repro.core.experiment import CampaignResult
-from repro.core.scheduler import ShardJob, load_stored, stored_count
+from repro.core.scheduler import (
+    ShardJob,
+    execute_shard,
+    load_stored,
+    stored_count,
+)
 from repro.safety.arbitration import InterventionConfig
 
 #: Bump when the manifest schema changes shape so stale sidecars are
@@ -538,15 +543,28 @@ class IncrementalReportEngine:
 
         if not arm.interventions.ml:
             return _run_report_campaign(self.config, arm.campaign, arm.interventions)
-        # The ML arm is keyed by its trainer configuration, so a cache hit
-        # short-circuits *before* weights are loaded or trained at all.
+        # The ML arm is keyed by its trainer configuration, so stored
+        # results short-circuit *before* weights are loaded or trained.
         from repro.ml import MitigationFactory, TrainerConfig, load_or_train_cached
 
         job = self._job(arm)
-        hit, _ = load_stored(job, self._probe_cache(), self._resume_entry(job))
+        hit, prior = load_stored(job, self._probe_cache(), self._resume_entry(job))
         if hit is not None:
             self.config._say("  (cache hit — skipping training and execution)")
             return CampaignResult(job.interventions.label(), hit)
+        if len(prior) == job.total:
+            # Given the factory-less job, the shard primitive rewrites the
+            # complete resume file and its sidecar, fills the cache and
+            # executes nothing.
+            self.config._say(
+                "  (resume file complete — skipping training and execution)"
+            )
+            return execute_shard(
+                job,
+                self.config.execution.resolve(),
+                resume_path=self.config.resume_path_for(job.digest()),
+                cache=self.config.cache(),
+            )
         baseline = load_or_train_cached(TrainerConfig())
         return _run_report_campaign(
             self.config,

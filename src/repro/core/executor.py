@@ -482,25 +482,10 @@ class BatchExecutor(CampaignExecutor):
         """Run one same-``dt`` group of episodes in lockstep."""
         from repro.sim.batch_control import BatchControlStack
         from repro.sim.batch_hazards import BatchHazardMonitor
-        from repro.sim.batch_state import BatchDynamics
 
         platforms = [_build_platform(tasks[index]) for index in indices]
-        from repro.safety.aebs import AebsConfig
-
-        dynamics = BatchDynamics(
-            [platform.world for platform in platforms],
-            curvature_lookaheads=[
-                platform.perception.params.curvature_lookahead
-                for platform in platforms
-            ],
-            lead_max_ranges=[platform.sensor.max_range for platform in platforms],
-            radar_leads=any(
-                platform.interventions.aeb is AebsConfig.INDEPENDENT
-                for platform in platforms
-            ),
-            human_leads=any(platform.driver is not None for platform in platforms),
-        )
-        stack = BatchControlStack(platforms, dynamics)
+        stack = BatchControlStack(platforms)
+        dynamics = stack.dynamics
         hazards = BatchHazardMonitor(
             [platform.hazards for platform in platforms], dynamics
         )
@@ -509,8 +494,8 @@ class BatchExecutor(CampaignExecutor):
         episodes = [platform._begin_episode() for platform in platforms]
         steps = [0] * len(platforms)
         active = list(range(len(platforms)))
-        # The control phase runs before the first physics step, so the
-        # step-0 world-query caches must be primed from the initial state.
+        # The control phase runs before the first physics step, so its
+        # step-0 world queries come from the initial state.
         dynamics.prime(active)
 
         def sync(lane: int) -> None:
@@ -523,9 +508,9 @@ class BatchExecutor(CampaignExecutor):
 
         while active:
             if len(active) < BREAK_EVEN_LANES and stack.ml_set.isdisjoint(active):
-                # Hand off: once synced, a lane's objects, world caches,
-                # hazard records and perception Generator stand where
-                # serial's would at this tick boundary.
+                # Hand off: once synced, a lane's objects, hazard records
+                # and perception Generator stand where serial's would at
+                # this tick boundary.
                 for lane in active:
                     sync(lane)
                     results[indices[lane]] = run_steps(

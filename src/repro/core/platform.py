@@ -217,21 +217,15 @@ class SimulationPlatform:
 
         The tail of :meth:`_after_dynamics`, split out so the vectorized
         batch path (which accumulates the running metrics on arrays) can
-        run it per lane without re-running the scalar accumulation.
+        run it per lane without re-running the scalar accumulation.  The
+        batch engine's hazard screen
+        (:class:`repro.sim.batch_hazards.BatchHazardMonitor`) proves on
+        quiet steps that it could mark nothing, so there it runs only on
+        mask-flagged lanes.
         """
-        finished = self._hazard_step()
+        finished = self.hazards.update(self.world) is not None
         result.steps = step_index + 1
         return finished
-
-    def _hazard_step(self) -> bool:
-        """Hazard detection alone; returns True once an accident latches.
-
-        The masked entry point for the batch engine's hazard screen
-        (:class:`repro.sim.batch_hazards.BatchHazardMonitor`): on quiet
-        steps the screen proves this call could mark nothing and skips it,
-        so it runs only on mask-flagged lanes.
-        """
-        return self.hazards.update(self.world) is not None
 
     def _finish_episode(self, result: EpisodeResult) -> None:
         result.duration = result.steps * self.dt

@@ -10,9 +10,11 @@ byte-identical.
 
 The fix is mechanical — wrap the call in ``sorted(...)`` at the call
 site.  The rule accepts exactly that shape (plus order-insensitive
-``len(...)`` consumption); assigning the raw listing to a variable and
-sorting *later* still flags, because every path between the call and the
-sort is a place an unsorted copy can leak.
+``len(...)`` consumption), and a listing that is the iterable of a
+comprehension or generator passed straight to such a wrapper
+(``sorted(n for n in os.listdir(d) if ...)``); assigning the raw listing
+to a variable and sorting *later* still flags, because every path
+between the call and the sort is a place an unsorted copy can leak.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ _LISTING_METHODS = {"iterdir", "glob", "rglob"}
 #: Wrappers that consume a listing order-insensitively.
 _ORDER_INSENSITIVE_WRAPPERS = {"sorted", "len", "set", "frozenset", "sum"}
 
+#: Comprehensions whose value keeps its iterable's order.
+_COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp)
+
 
 class UnsortedFsIterationRule(LintRule):
     rule_id = "unsorted-fs-iteration"
@@ -57,6 +62,23 @@ class UnsortedFsIterationRule(LintRule):
             return f"<path>.{node.func.attr}"
         return None
 
+    @staticmethod
+    def _wrapped(context: FileContext, node: ast.expr) -> bool:
+        """Whether ``node``'s value goes straight into an order-insensitive
+        wrapper, directly or as the iterable of a comprehension."""
+        parent = context.parent(node)
+        if isinstance(parent, ast.comprehension) and node is parent.iter:
+            comp = context.parent(parent)
+            if not isinstance(comp, _COMPREHENSIONS):
+                return False
+            node, parent = comp, context.parent(comp)
+        return (
+            isinstance(parent, ast.Call)
+            and isinstance(parent.func, ast.Name)
+            and parent.func.id in _ORDER_INSENSITIVE_WRAPPERS
+            and node in parent.args
+        )
+
     def check(self, context: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(context.tree):
@@ -65,13 +87,7 @@ class UnsortedFsIterationRule(LintRule):
             name = self._listing_name(context, node)
             if name is None:
                 continue
-            parent = context.parent(node)
-            if (
-                isinstance(parent, ast.Call)
-                and isinstance(parent.func, ast.Name)
-                and parent.func.id in _ORDER_INSENSITIVE_WRAPPERS
-                and node in parent.args
-            ):
+            if self._wrapped(context, node):
                 continue
             findings.append(
                 self.finding(

@@ -11,7 +11,9 @@ nondeterminism for spooky action between unrelated components.
 
 Sanctioned alternative: derive a seed with
 :func:`repro.utils.rng.derive_seed` and draw from a local
-``numpy.random.default_rng(seed)`` / ``RngStreams`` generator.
+``numpy.random.default_rng(seed)`` / ``RngStreams`` generator.  A local
+``random.Random(seed)`` instance is accepted too; ``random.Random()``
+without a seed draws its state from the operating system and flags.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ _SEEDED_CONSTRUCTORS = {
 _GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.", "np.random.")
 
 
+def _seeded_random_instance(dotted: str, node: ast.Call) -> bool:
+    """``random.Random(seed)``: a local generator with an explicit seed."""
+    if dotted != "random.Random":
+        return False
+    seeds = list(node.args) + [kw.value for kw in node.keywords]
+    return bool(seeds) and not (
+        isinstance(seeds[0], ast.Constant) and seeds[0].value is None
+    )
+
+
 class UnseededRngRule(LintRule):
     rule_id = "unseeded-rng"
     title = "global random.* / legacy numpy.random.* call (process-wide state)"
@@ -51,7 +63,7 @@ class UnseededRngRule(LintRule):
             if not isinstance(node, ast.Call):
                 continue
             dotted = context.dotted_name(node.func)
-            if dotted is None:
+            if dotted is None or _seeded_random_instance(dotted, node):
                 continue
             for prefix in _GLOBAL_RNG_PREFIXES:
                 if not dotted.startswith(prefix):
@@ -59,11 +71,16 @@ class UnseededRngRule(LintRule):
                 attr = dotted[len(prefix):]
                 if "." in attr or attr in _SEEDED_CONSTRUCTORS:
                     continue
+                source = (
+                    "its state from the operating system"
+                    if dotted == "random.Random"
+                    else "from the process-global RNG"
+                )
                 findings.append(
                     self.finding(
                         context,
                         node,
-                        f"{dotted}() draws from the process-global RNG; "
+                        f"{dotted}() draws {source}; "
                         "derive a seed (repro.utils.rng.derive_seed) and "
                         "use a local numpy.random.default_rng(seed) / "
                         "RngStreams stream instead",

@@ -35,9 +35,11 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
 * **Per-lane-only features stay scalar.**  Lanes with a trace recorder or
   any other ML controller are not vectorizable (:attr:`vector_set`
   excludes them; the executor runs their ordinary ``_control_phase``).
-  The driver model, the fault-injection triggers and the cut-in scan run
-  as per-lane hooks *inside* the vectorized step, fed by (and feeding)
-  the arrays.
+  The driver model and the fault-injection triggers run as per-lane hooks
+  *inside* the vectorized step, fed by (and feeding) the arrays.
+* **World queries come from the control view.**  Lead corridors,
+  lane-line distances, look-ahead curvature and the cut-in bit are read
+  from ``BatchDynamics.control_view``; no vector lane queries its world.
 
 State lives in full-width arrays indexed by global lane id; when a lane
 finishes, or the executor hands it to the scalar loop, :meth:`retire`
@@ -79,21 +81,19 @@ class BatchControlStack:
     """Vectorized control phase over a fixed set of platforms.
 
     Args:
-        platforms: the per-episode platforms, in batch-lane order (the
-            same order as the worlds given to ``dynamics``).
-        dynamics: the batch integrator for the same lanes; its
-            ``control_view`` (populated by ``prime``/``step``) supplies
-            the per-step world-query values.
+        platforms: the per-episode platforms, in batch-lane order.
+
+    The stack builds :attr:`dynamics`, the batch integrator over the
+    platforms' worlds, and picks from the platforms what its
+    ``control_view`` carries: each lane's perception look-ahead, the
+    radar corridor when some lane runs AEBS on its independent sensor and
+    the human corridor when some lane has a driver model.  So the stack
+    never reads a view that lacks a query one of its lanes needs.
     """
 
-    def __init__(self, platforms: Sequence, dynamics: BatchDynamics) -> None:
+    def __init__(self, platforms: Sequence) -> None:
         self.platforms = list(platforms)
-        self.dynamics = dynamics
         n = len(self.platforms)
-        if n != len(dynamics.worlds):
-            raise ValueError(
-                f"platform/world count mismatch: {n} != {len(dynamics.worlds)}"
-            )
 
         #: Lanes the vectorized path covers; the rest (trace recording, or
         #: an ML controller ``BatchMitigation`` cannot replicate) must run
@@ -217,6 +217,15 @@ class BatchControlStack:
         # Per-lane scalar hooks.
         self._has_driver = [p.driver is not None for p in self.platforms]
         self._fi_enabled = [p.fi.enabled for p in self.platforms]
+
+        #: The lockstep integrator whose ``control_view`` (set by
+        #: ``prime``/``step``) supplies the per-step world queries.
+        self.dynamics = BatchDynamics(
+            [p.world for p in self.platforms],
+            self._curv_la,
+            radar_leads=bool(self._aeb_indep.any()),
+            human_leads=any(self._has_driver),
+        )
 
         # Driver-trigger thresholds for the vectorized idle screen
         # (values are never consulted for lanes without a driver model).
@@ -401,8 +410,8 @@ class BatchControlStack:
         """Run the control phase for the given (vectorizable) lanes.
 
         Equivalent to calling ``platform._control_phase`` on each lane;
-        requires the dynamics' step caches to be current (``prime`` before
-        the first tick, ``step`` thereafter).
+        requires the dynamics' control view to be current (``prime``
+        before the first tick, ``step`` thereafter).
         """
         key = tuple(lanes)
         if not key:
@@ -430,17 +439,9 @@ class BatchControlStack:
         dist_right = view.dist_right[pos]
         dist_left = view.dist_left[pos]
         lane_center = view.lane_center[pos]
-        if view.curvature is not None:
-            k_road = view.curvature[pos]
-        else:
-            k_road = np.array(
-                [
-                    self.platforms[lane].sensor.road_curvature(la)
-                    for lane, la in zip(key, pr._curv_la.tolist())
-                ]
-            )
+        k_road = view.curvature[pos]
 
-        sv = view.leads[dyn.lead_config_index["sensor"]]
+        sv = view.leads["sensor"]
         lead_present = sv.valid[pos]
         lead_gap = sv.gap[pos]
         lead_rel = speed - sv.speed[pos]
@@ -591,21 +592,10 @@ class BatchControlStack:
         indep = pr._aeb_indep
         ai_valid, ai_rd, ai_rs = t_valid, t_rd, t_rs
         if indep.any():
-            cfg_r = dyn.lead_config_index["radar"]
-            if cfg_r is not None:
-                rv = view.leads[cfg_r]
-                r_ok = rv.valid[pos]
-                r_gap = rv.gap[pos]
-                r_rel = speed - rv.speed[pos]
-            else:  # pragma: no cover - executor always registers the radar
-                rows = [
-                    self.platforms[lane].sensor.radar_lead() for lane in key
-                ]
-                r_ok = np.array([t is not None for t in rows])
-                r_gap = np.array([t.gap if t is not None else 0.0 for t in rows])
-                r_rel = np.array(
-                    [t.relative_speed if t is not None else 0.0 for t in rows]
-                )
+            rv = view.leads["radar"]
+            r_ok = rv.valid[pos]
+            r_gap = rv.gap[pos]
+            r_rel = speed - rv.speed[pos]
             ai_valid = np.where(indep, r_ok, t_valid)
             ai_rd = np.where(indep, np.where(r_ok, r_gap, 0.0), t_rd)
             ai_rs = np.where(indep, np.where(r_ok, r_rel, 0.0), t_rs)
@@ -662,39 +652,32 @@ class BatchControlStack:
         drv_steer_angle = np.zeros(m)
         drv_sub = [j for j, lane in enumerate(key) if self._has_driver[lane]]
         if drv_sub:
-            cfg_h = dyn.lead_config_index["human"]
-            if cfg_h is not None:
-                hv = view.leads[cfg_h]
-                h_okm = hv.valid[pos]
-                h_gapm = hv.gap[pos]
-                h_relm = speed - hv.speed[pos]
-                h_ok = h_okm.tolist()
-                h_gap = h_gapm.tolist()
-                h_rel = h_relm.tolist()
-                # Vectorized screen for the Table II triggers: an idle
-                # driver whose lane cannot trigger this step skips the
-                # scalar state machine (its update() is a provable no-op).
-                # The mask over-approximates — unexpected-accel drops the
-                # accel term, cut-in is checked scalar below — so it can
-                # only cost a redundant update, never skip a real one.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    h_ttc = h_gapm / h_relm
-                brake_poss = (
-                    fcw
-                    | (h_okm & (h_relm > 0.3) & (h_ttc < pr._drv_visual_ttc))
-                    | (speed > 1.1 * pr._drv_speed_limit)
-                    | (h_okm & (h_gapm < pr._drv_unsafe_gap) & (h_relm > -0.5))
-                    | (h_okm & (h_gapm < pr._drv_ua_gap) & (h_relm > 0.0))
-                )
-                steer_poss = ldw_active | (
-                    np.minimum(dist_right, dist_left) < pr._drv_lane_thresh
-                )
-                busy = (
-                    brake_poss | steer_poss | ~self._drv_idle[idx]
-                ).tolist()
-            else:  # pragma: no cover - executor always registers it
-                h_ok = h_gap = h_rel = None
-                busy = [True] * m
+            hv = view.leads["human"]
+            h_okm = hv.valid[pos]
+            h_gapm = hv.gap[pos]
+            h_relm = speed - hv.speed[pos]
+            h_ok = h_okm.tolist()
+            h_gap = h_gapm.tolist()
+            h_rel = h_relm.tolist()
+            # Vectorized screen for the Table II triggers: an idle driver
+            # whose lane cannot trigger this step skips the scalar state
+            # machine (its update() is a provable no-op).  The mask
+            # over-approximates — unexpected-accel drops the accel term,
+            # the cut-in bit is checked below — so it can only cost a
+            # redundant update, never skip a real one.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h_ttc = h_gapm / h_relm
+            brake_poss = (
+                fcw
+                | (h_okm & (h_relm > 0.3) & (h_ttc < pr._drv_visual_ttc))
+                | (speed > 1.1 * pr._drv_speed_limit)
+                | (h_okm & (h_gapm < pr._drv_unsafe_gap) & (h_relm > -0.5))
+                | (h_okm & (h_gapm < pr._drv_ua_gap) & (h_relm > 0.0))
+            )
+            steer_poss = ldw_active | (
+                np.minimum(dist_right, dist_left) < pr._drv_lane_thresh
+            )
+            busy = (brake_poss | steer_poss | ~self._drv_idle[idx]).tolist()
             speed_l = speed.tolist()
             d_l = d.tolist()
             psi_l = psi.tolist()
@@ -727,13 +710,8 @@ class BatchControlStack:
                     driver_actions[j] = action
                     continue
                 ego = platform.world.ego
-                if h_ok is None:
-                    lead = platform.sensor.lead_human()
-                    gap = lead.gap if lead is not None else None
-                    closing = lead.relative_speed if lead is not None else 0.0
-                else:
-                    gap = h_gap[j] if h_ok[j] else None
-                    closing = h_rel[j] if h_ok[j] else 0.0
+                gap = h_gap[j] if h_ok[j] else None
+                closing = h_rel[j] if h_ok[j] else 0.0
                 action = drv.update(
                     DriverView(
                         time=now,
@@ -898,7 +876,7 @@ class BatchControlStack:
 
         The vectorized twin of ``SimulationPlatform._accumulate`` plus the
         follow-distance accumulation in ``_after_dynamics`` — call after
-        ``BatchDynamics.step`` (whose cache populate provides the post-step
+        ``BatchDynamics.step`` (whose control view provides the post-step
         world queries).  Results stay in arrays until :meth:`retire`.
         """
         key = tuple(lanes)
@@ -911,7 +889,7 @@ class BatchControlStack:
         pr = self._params_for(key)
         speed = dyn._bound.speed[pos]
 
-        sv = view.leads[dyn.lead_config_index["sensor"]]
+        sv = view.leads["sensor"]
         l_ok = sv.valid[pos]
         l_gap = sv.gap[pos]
         l_rel = speed - sv.speed[pos]

@@ -13,7 +13,7 @@ path, bit-identically.
 
 The screen is *exact*, not an over-approximation:
 
-* the default-corridor lead view in ``BatchDynamics.control_view`` holds
+* the sensor-corridor lead view in ``BatchDynamics.control_view`` holds
   precisely the gap/speed the scalar ``world.lead_actor()`` +
   ``max(0.0, lead.rear_s - ego.front_s)`` computation produces (same
   operand association, same signed-zero ``max`` replication);
@@ -25,8 +25,9 @@ The screen is *exact*, not an over-approximation:
 * a latched *accident* retires the lane on the same step, so active lanes
   never exercise the monitor's accident short-circuit.
 
-Non-vector lanes (ML / trace recording) run the full scalar
-``_after_dynamics`` path and their mask bits are never consulted.
+Non-vector lanes (trace recording, or an ML controller the batch engine
+cannot replicate) run the full scalar ``_after_dynamics`` path and their
+mask bits are never consulted.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class BatchHazardMonitor:
         idx = np.asarray(key, dtype=np.intp)
 
         # H1: TTC below threshold, or gap below the headway-seconds rule.
-        lead = view.leads[0]  # config 0 is always world.lead_actor()'s
+        lead = view.leads["sensor"]  # world.lead_actor()'s corridor
         speed = b.speed
         closing = speed - lead.speed
         with np.errstate(divide="ignore", invalid="ignore"):

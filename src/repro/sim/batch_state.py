@@ -1,19 +1,20 @@
 """Structure-of-arrays batch stepping: N worlds advance in lockstep.
 
 :class:`BatchDynamics` replaces the per-object ``World.step`` hot loop for a
-*batch* of episodes: per control tick it gathers every lane's dynamic state
-(ego bicycle model, powertrain lag, traffic actors) into flat NumPy arrays,
-integrates all lanes with vectorized float64 arithmetic, and scatters the
-state back onto the per-lane objects.  It then pre-computes the pure world
-queries the control stack issues every step — lead selection for each
-sensor corridor, lane-line distances, look-ahead road curvature — for all
-lanes at once and deposits them in each world's ``_step_cache``, which the
-per-lane query methods consult before falling back to their scalar scans.
+*batch* of episodes: per control tick it integrates every lane's dynamic
+state (ego bicycle model, powertrain lag, traffic actors) as flat NumPy
+arrays with vectorized float64 arithmetic, and scatters the state back onto
+the per-lane objects.  It then computes the pure world queries the control
+stack reads every step — lead selection for each sensor corridor,
+lane-line distances, look-ahead road curvature, the cut-in screen — for all
+lanes at once into :attr:`BatchDynamics.control_view`, the lockstep's only
+copy of them.  Scalar callers (hazard-flagged lanes, non-vector lanes,
+lanes handed off to the scalar loop) run the world's own queries on the
+synced objects.
 
-Everything *else* — collision/departure detection, the whole
-perception/control/safety stack — keeps running on the ordinary per-lane
-objects, which is what makes the batch path produce **bit-identical**
-episode results to the serial path:
+The perception/control/safety stack is vectorized in
+:mod:`repro.sim.batch_control`, which reads the control view.  The batch
+path produces **bit-identical** episode results to the serial path:
 
 * behaviours run through :class:`repro.sim.batch_agents.BehaviorBatch`,
   which replicates the built-in behaviour set as array expressions (and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,10 +56,6 @@ from repro.utils.npmath import (
 )
 from repro.utils.units import G
 
-#: Default ``max_range`` of :meth:`World.lead_actor` (hazard monitors and
-#: ``lead_gap`` call it with no arguments).
-_LEAD_RANGE_DEFAULT = 250.0
-
 
 class BatchDynamics:
     """Lockstep integrator for a fixed set of worlds.
@@ -68,15 +65,11 @@ class BatchDynamics:
             powertrain, road geometry, friction) are frozen into arrays at
             construction; per-step state is gathered/scattered on every
             :meth:`step`, so lanes may be stepped in any active subset.
-        curvature_lookaheads: per-lane perception curvature look-ahead [m];
-            when given, the look-ahead curvature query is pre-computed per
-            step (``GroundTruthSensor.road_curvature`` picks it up from the
-            step cache).
-        lead_max_ranges: per-lane sensor ``max_range`` [m]; extends the
-            pre-computed lead queries beyond the world default.
-        radar_leads: also pre-compute the independent-radar lead corridor
-            (an AEBS INDEPENDENT arm is present).
-        human_leads: also pre-compute the human-vision lead corridor (a
+        curvature_lookaheads: per-lane perception curvature look-ahead [m]
+            (``GroundTruthSensor.road_curvature``'s argument).
+        radar_leads: also compute the independent-radar lead corridor
+            (an AEBS INDEPENDENT lane is present).
+        human_leads: also compute the human-vision lead corridor (a
             driver model is present).
 
     Raises:
@@ -87,9 +80,8 @@ class BatchDynamics:
     def __init__(
         self,
         worlds: Sequence[World],
+        curvature_lookaheads: Sequence[float],
         *,
-        curvature_lookaheads: Optional[Sequence[float]] = None,
-        lead_max_ranges: Optional[Sequence[float]] = None,
         radar_leads: bool = False,
         human_leads: bool = False,
     ) -> None:
@@ -152,62 +144,27 @@ class BatchDynamics:
 
         # Traffic actor slots (agent lists are fixed after scenario build).
         self._actors_by_lane = [[b.actor for b in w.agents] for w in self.worlds]
-        self._slot_len_by_lane = [
-            [a.params.length for a in actors] for actors in self._actors_by_lane
-        ]
         # Vectorized behaviour updates (scalar fallback per unknown lane).
         self.behaviors = BehaviorBatch(self.worlds)
 
-        # Lead-query configurations to pre-compute each step, as per-lane
-        # (max_range, corridor) pairs.  Deduplicated so the common case
-        # (sensor max_range == world default) costs one scan.
-        corr_default = np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])
-        range_default = np.full(n, _LEAD_RANGE_DEFAULT)
-        configs = [(range_default, corr_default)]
-
-        def _config_index(mr: np.ndarray, corr: np.ndarray) -> int:
-            for k, (have_mr, have_corr) in enumerate(configs):
-                if np.array_equal(have_mr, mr) and np.array_equal(have_corr, corr):
-                    return k
-            configs.append((mr, corr))
-            return len(configs) - 1
-
-        sensor_range = range_default
-        if lead_max_ranges is not None:
-            sensor_range = np.array([float(v) for v in lead_max_ranges])
-        # Named indices into the per-step lead pre-computation, so the
-        # batch control stack can read each corridor's result directly
-        # from the control view (see :attr:`control_view`).
-        self.lead_config_index = {
-            "sensor": _config_index(sensor_range, corr_default),
-            "radar": (
-                _config_index(sensor_range, np.full(n, RADAR_CORRIDOR))
-                if radar_leads
-                else None
-            ),
-            "human": (
-                _config_index(sensor_range, np.full(n, HUMAN_CORRIDOR))
-                if human_leads
-                else None
-            ),
+        # Lead corridors computed each step, by name: the sensor's (also
+        # the hazard monitor's ``world.lead_actor()``), plus the radar and
+        # human corridors when some lane reads them.
+        self._lead_range = np.array([float(w.LEAD_RANGE) for w in self.worlds])
+        self._corridors = {
+            "sensor": np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])
         }
-        self._lead_configs = [
-            (mr, corr, [("lead", mr_i, corr_i) for mr_i, corr_i in zip(mr.tolist(), corr.tolist())])
-            for mr, corr in configs
-        ]
-
-        self._curv_la = (
-            np.array([float(v) for v in curvature_lookaheads])
-            if curvature_lookaheads is not None
-            else None
-        )
+        if radar_leads:
+            self._corridors["radar"] = np.full(n, RADAR_CORRIDOR)
+        if human_leads:
+            self._corridors["human"] = np.full(n, HUMAN_CORRIDOR)
+        self._curv_la = np.array([float(v) for v in curvature_lookaheads])
 
         self._bound_key: Optional[tuple] = None
         self._bound: Optional[SimpleNamespace] = None
-        #: Array view of the latest :meth:`_populate_caches` pass (the
-        #: same values deposited in the per-world step caches, kept as
-        #: arrays for the batch control stack).  ``None`` until the first
-        #: :meth:`step` or :meth:`prime`.
+        #: World queries of the latest :meth:`step` or :meth:`prime`, as
+        #: arrays over its active set (see :meth:`_update_view`).  ``None``
+        #: until the first of them.
         self.control_view: Optional[SimpleNamespace] = None
 
     # ------------------------------------------------------------------ #
@@ -256,23 +213,20 @@ class BatchDynamics:
 
         # Flat actor layout + padded slot tables for the lead queries.
         b.actors = []
-        lane_pos: List[int] = []
         flat_lane: List[int] = []
         flat_slot: List[int] = []
         for j, i in enumerate(key):
             for slot, actor in enumerate(self._actors_by_lane[i]):
                 b.actors.append(actor)
-                lane_pos.append(j)
                 flat_lane.append(j)
                 flat_slot.append(slot)
         n_active = len(key)
         b.max_slots = max(
             (len(self._actors_by_lane[i]) for i in key), default=0
         )
-        b.max_slots = max(b.max_slots, 0)
         b.flat_lane = np.asarray(flat_lane, dtype=np.intp)
         b.flat_slot = np.asarray(flat_slot, dtype=np.intp)
-        b.actor_limit = b.mu_g[np.asarray(lane_pos, dtype=np.intp)]
+        b.actor_limit = b.mu_g[b.flat_lane]
         b.valid = np.zeros((n_active, b.max_slots), dtype=bool)
         b.slot_len = np.zeros((n_active, b.max_slots))
         b.slot_wid = np.zeros((n_active, b.max_slots))
@@ -286,7 +240,6 @@ class BatchDynamics:
             ]
         b.slot_half_len = 0.5 * b.slot_len
         b.slot_half_wid = 0.5 * b.slot_wid
-        b.agents_by_lane = [self._actors_by_lane[i] for i in key]
         b.actor_rate = np.array([a.lane_change_rate for a in b.actors])
 
         # Departure-test bounds, pre-combined with the per-world margin
@@ -320,16 +273,9 @@ class BatchDynamics:
         b.a_s = np.array([a.s for a in b.actors])
         b.a_d = np.array([a.d for a in b.actors])
 
-        b.lead_configs = [
-            (mr[idx], corr[idx], [keys[i] for i in key])
-            for mr, corr, keys in self._lead_configs
-        ]
-        if self._curv_la is not None:
-            b.curv_la = self._curv_la[idx]
-            b.curv_keys = [("curvature_ahead", la) for la in b.curv_la.tolist()]
-        else:
-            b.curv_la = None
-            b.curv_keys = None
+        b.lead_range = self._lead_range[idx]
+        b.corridors = {name: corr[idx] for name, corr in self._corridors.items()}
+        b.curv_la = self._curv_la[idx]
 
         self._bound_key = key
         self._bound = b
@@ -385,7 +331,7 @@ class BatchDynamics:
 
         Order per lane is identical to ``World.step``: behaviours, ego
         integrate, actor integrate, time advance, collision detection,
-        departure detection — then the step-cache populate.
+        departure detection — then the control-view update.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -516,7 +462,7 @@ class BatchDynamics:
             b.a_d = a_d
 
             # The command columns ride along so the actor objects always
-            # carry the behaviour outputs (scalar fallbacks — cut-in scans,
+            # carry the behaviour outputs (scalar callers — cut-in scans,
             # re-binds, direct world queries — read them from the objects).
             a_out = np.stack(
                 (a_accel, a_speed, a_s, a_d, a_cmd_accel, a_cmd_dt), axis=1
@@ -565,18 +511,17 @@ class BatchDynamics:
             b.off_lane_latch[j] = world.off_lane
             b.off_road_latch[j] = world.off_road
 
-        # -------- step-cache populate (pure queries, post-step) ------- #
-        self._populate_caches(
+        # -------- control view (pure queries, post-step) -------------- #
+        self._update_view(
             b, s, d, speed, a_s_pad, a_d_pad, a_speed_pad, a_dt_pad
         )
 
     def prime(self, lanes: Sequence[int]) -> None:
-        """Pre-populate the step caches from the *current* (unstepped) state.
+        """Compute the :attr:`control_view` from the *current* (unstepped)
+        state.
 
-        The control phase runs before the first :meth:`step`, so without
-        priming its step-0 world queries fall back to the scalar scans and
-        the batch control stack has no :attr:`control_view` to read.  The
-        values are identical to what those scalar scans would return.
+        The control phase runs before the first :meth:`step`, so the batch
+        control stack's step-0 world queries come from here.
         """
         b = self._bind(lanes)
         n_active = len(b.worlds)
@@ -589,15 +534,15 @@ class BatchDynamics:
             a_d_pad[b.flat_lane, b.flat_slot] = b.a_d
             a_speed_pad[b.flat_lane, b.flat_slot] = b.a_speed
             a_dt_pad[b.flat_lane, b.flat_slot] = [a.d_target for a in b.actors]
-        self._populate_caches(
+        self._update_view(
             b, b.s, b.d, b.speed, a_s_pad, a_d_pad, a_speed_pad, a_dt_pad
         )
 
     # ------------------------------------------------------------------ #
-    # Per-step query pre-computation
+    # Per-step world queries
     # ------------------------------------------------------------------ #
 
-    def _populate_caches(
+    def _update_view(
         self,
         b: SimpleNamespace,
         s: np.ndarray,
@@ -610,52 +555,50 @@ class BatchDynamics:
     ) -> None:
         """Vectorized replicas of the per-step pure world queries.
 
-        Results land in each world's ``_step_cache`` keyed by the exact
-        argument values the scalar call sites pass, stamped with the
-        post-step time; the scalar methods fall back to their own scans on
-        any miss, so the cache is purely an accelerator.  The same values
-        are kept as arrays in :attr:`control_view` for the batch control
-        stack.
+        Each lane's entries equal, bit for bit, what its objects give:
+        ``world.lane_line_distances()`` (``dist_right``/``dist_left``, with
+        the nearest lane's centre in ``lane_center``),
+        ``sensor.road_curvature(lookahead)`` (``curvature``), the three
+        lead corridors (``leads["sensor"]`` is ``world.lead_actor()``,
+        ``"radar"`` ``sensor.radar_lead()`` and ``"human"``
+        ``sensor.lead_human()``, each a ``valid``/``gap``/``speed``
+        triple) and ``sensor.cut_in() is not None`` (``cut_in``).
         """
         n_active = len(b.worlds)
 
         # World.lane_line_distances (via Road.nearest_lane/lane_bounds).
+        # ``<=`` turns rint's -0.0 (a slightly negative d) into the +0.0
+        # of the scalar path's integer lane index.
         lane = np.rint(d / b.lane_width)
-        lane = np.where(lane < 0.0, 0.0, np.where(lane > b.max_lane, b.max_lane, lane))
+        lane = np.where(
+            lane <= 0.0, 0.0, np.where(lane > b.max_lane, b.max_lane, lane)
+        )
         center = lane * b.lane_width
         right = center - b.half_lane
         left = center + b.half_lane
-        dist_right_arr = (d - b.ego_half_wid) - right
-        dist_left_arr = left - (d + b.ego_half_wid)
-        dist_right = dist_right_arr.tolist()
-        dist_left = dist_left_arr.tolist()
+        dist_right = (d - b.ego_half_wid) - right
+        dist_left = left - (d + b.ego_half_wid)
 
         # Road.curvature_ahead at each lane's perception look-ahead.  All
         # six sample points (the s-anchor plus the five look-ahead probes)
         # go through one broadcast segment lookup; the accumulation below
         # keeps the serial loop's left-associative addition order.
-        curv_vals = None
-        if b.curv_la is not None:
-            pts = np.stack([s] + [s + b.curv_la * (i + 0.5) / 5 for i in range(5)])
-            seg_idx = np.sum(b.seg_starts[None] <= pts[..., None], axis=2) - 1
-            seg_idx = np.where(pts <= 0.0, 0, seg_idx)
-            seg_idx = np.where(pts >= b.road_len, b.seg_last, seg_idx)
-            vals = b.seg_curv_flat[seg_idx + b.seg_row_offset]
-            acc = 0.0 + vals[1]  # serial starts from acc = 0.0 (signed zero)
-            for i in range(2, 6):
-                acc = acc + vals[i]
-            curv_arr = np.where(b.curv_la > 0.0, acc / 5, vals[0])
-            curv_vals = curv_arr.tolist()
-        else:
-            curv_arr = None
+        pts = np.stack([s] + [s + b.curv_la * (i + 0.5) / 5 for i in range(5)])
+        seg_idx = np.sum(b.seg_starts[None] <= pts[..., None], axis=2) - 1
+        seg_idx = np.where(pts <= 0.0, 0, seg_idx)
+        seg_idx = np.where(pts >= b.road_len, b.seg_last, seg_idx)
+        vals = b.seg_curv_flat[seg_idx + b.seg_row_offset]
+        acc = 0.0 + vals[1]  # serial starts from acc = 0.0 (signed zero)
+        for i in range(2, 6):
+            acc = acc + vals[i]
+        curvature = np.where(b.curv_la > 0.0, acc / 5, vals[0])
 
-        # World.lead_actor for each pre-registered (max_range, corridor).
+        # World.lead_actor for each computed corridor.
         ego_front = s + b.ego_half_len
-        lead_slots = []
-        lead_views = []
-        for max_range, corridor, keys in b.lead_configs:
+        leads: Dict[str, SimpleNamespace] = {}
+        for name, corridor in b.corridors.items():
             best_slot = np.full(n_active, -1, dtype=np.intp)
-            best_gap = max_range.copy()
+            best_gap = b.lead_range.copy()
             for j in range(b.max_slots):
                 gap = (a_s_pad[:, j] - b.slot_half_len[:, j]) - ego_front
                 sel = (
@@ -666,7 +609,6 @@ class BatchDynamics:
                 )
                 best_slot = np.where(sel, j, best_slot)
                 best_gap = np.where(sel, np.where(gap > 0.0, gap, 0.0), best_gap)
-            lead_slots.append((keys, best_slot.tolist()))
             has_lead = best_slot >= 0
             slot_clip = np.where(has_lead, best_slot, 0)
             if b.max_slots:
@@ -675,20 +617,18 @@ class BatchDynamics:
                 lead_speed = np.zeros(n_active)
             # best_gap of a selected slot is exactly the measurement gap
             # (`max(0.0, rear_s - front_s)`) GroundTruthSensor computes.
-            lead_views.append(
-                SimpleNamespace(valid=has_lead, gap=best_gap, speed=lead_speed)
+            leads[name] = SimpleNamespace(
+                valid=has_lead, gap=best_gap, speed=lead_speed
             )
 
         # GroundTruthSensor.cut_in screen: the exact per-agent predicate,
         # broadcast over agents x lanes and reduced with any().  cut_in()
         # returns the *first* matching agent, so "some agent matches" is
-        # exactly "the scalar scan returns non-None"; lanes where it holds
-        # get no cache entry and fall back to the scalar scan (preserving
-        # the first-match observation), quiet lanes cache the None.
+        # exactly "the scalar scan returns non-None".
         if b.max_slots:
             gap_all = (a_s_pad - b.slot_half_len) - (s + b.ego_half_len)[:, None]
             delta = a_dt_pad - a_d_pad
-            cut_arr = (
+            cut_in = (
                 b.valid
                 & (np.abs(a_d_pad - d[:, None]) > b.half_lane[:, None])
                 & (gap_all > -5.0)
@@ -697,28 +637,14 @@ class BatchDynamics:
                 & (np.abs(delta) > 0.3)
             ).any(axis=1)
         else:
-            cut_arr = np.zeros(n_active, dtype=bool)
-        cut_flagged = cut_arr.tolist()
+            cut_in = np.zeros(n_active, dtype=bool)
 
         self.control_view = SimpleNamespace(
             key=self._bound_key,
-            dist_right=dist_right_arr,
-            dist_left=dist_left_arr,
+            dist_right=dist_right,
+            dist_left=dist_left,
             lane_center=center,
-            curvature=curv_arr,
-            leads=lead_views,
-            cut_in=cut_arr,
+            curvature=curvature,
+            leads=leads,
+            cut_in=cut_in,
         )
-
-        cut_key = ("cut_in", CUT_IN_GAP_RANGE)
-        for j, world in enumerate(b.worlds):
-            cache = {"time": world.time, "lld": (dist_right[j], dist_left[j])}
-            if curv_vals is not None:
-                cache[b.curv_keys[j]] = curv_vals[j]
-            actors = b.agents_by_lane[j]
-            for keys, slots in lead_slots:
-                slot = slots[j]
-                cache[keys[j]] = actors[slot] if slot >= 0 else None
-            if not cut_flagged[j]:
-                cache[cut_key] = None
-            world._step_cache = cache

@@ -27,8 +27,8 @@ RADAR_CORRIDOR = 3.5
 HUMAN_CORRIDOR = 3.2
 
 #: Default longitudinal search range [m] of the cut-in scan (see
-#: :meth:`GroundTruthSensor.cut_in`); the batch engine pre-computes the
-#: scan for exactly this range.
+#: :meth:`GroundTruthSensor.cut_in`); the batch engine's control view
+#: screens for exactly this range.
 CUT_IN_GAP_RANGE = 60.0
 
 
@@ -67,11 +67,8 @@ class CutInObservation:
 class GroundTruthSensor:
     """Physical-truth measurements of the world around the ego vehicle."""
 
-    def __init__(self, world: World, max_range: float = 250.0) -> None:
-        if max_range <= 0.0:
-            raise ValueError(f"max_range must be positive, got {max_range}")
+    def __init__(self, world: World) -> None:
         self.world = world
-        self.max_range = max_range
         self._cache_time = -1.0
         self._cache_lead: Optional[LeadMeasurement] = None
 
@@ -84,7 +81,7 @@ class GroundTruthSensor:
         """
         if self.world.time == self._cache_time:
             return self._cache_lead
-        actor = self.world.lead_actor(self.max_range)
+        actor = self.world.lead_actor()
         if actor is None:
             measurement = None
         else:
@@ -112,7 +109,7 @@ class GroundTruthSensor:
         the lead during a drift keeps the radar threat alive and triggers
         braking to a standstill.
         """
-        actor = self.world.lead_actor(self.max_range, corridor=corridor)
+        actor = self.world.lead_actor(corridor=corridor)
         if actor is None:
             return None
         ego = self.world.ego
@@ -133,7 +130,7 @@ class GroundTruthSensor:
         (e.g. during an attack-induced drift), so the driver model's
         triggers use this wider query.
         """
-        actor = self.world.lead_actor(self.max_range, corridor=corridor)
+        actor = self.world.lead_actor(corridor=corridor)
         if actor is None:
             return None
         ego = self.world.ego
@@ -152,19 +149,7 @@ class GroundTruthSensor:
         A driver notices a cut-in when a nearby adjacent-lane vehicle has
         visible lateral motion toward the ego lane (Table II's "Other
         Vehicle Cutting in" trigger).
-
-        The batch engine screens this scan lane-wide and caches a ``None``
-        for every lane where no agent can match; only mask-flagged lanes
-        fall through to the per-agent loop below (whose first-match order
-        the screen cannot reproduce, only predict the existence of).
         """
-        world = self.world
-        cache = world._step_cache
-        if cache is not None and cache["time"] == world.time:
-            try:
-                return cache[("cut_in", gap_range)]
-            except KeyError:
-                pass
         ego = self.world.ego
         lane_half = 0.5 * self.world.road.lane_width
         for binding in self.world.agents:
@@ -187,10 +172,4 @@ class GroundTruthSensor:
     def road_curvature(self, lookahead: float = 30.0) -> float:
         """Mean road curvature ahead of the ego [1/m]."""
         world = self.world
-        cache = world._step_cache
-        if cache is not None and cache["time"] == world.time:
-            try:
-                return cache[("curvature_ahead", lookahead)]
-            except KeyError:
-                pass
         return world.road.curvature_ahead(world.ego.s, lookahead)

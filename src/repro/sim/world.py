@@ -59,11 +59,6 @@ class World:
         self.collision: Optional[CollisionEvent] = None
         self.off_lane = False
         self.off_road = False
-        #: Per-step query cache, populated only by the batch engine
-        #: (``repro.sim.batch_state``); stays ``None`` on the serial path.
-        #: Entries are keyed by the exact query arguments and stamped with
-        #: the world time they were computed at.
-        self._step_cache: Optional[dict] = None
 
     def add_agent(self, binding: AgentBinding) -> None:
         """Register a traffic actor."""
@@ -150,13 +145,17 @@ class World:
     #: observation that AEB can stop lateral accidents).
     LEAD_CORRIDOR = 2.0
 
+    #: Longitudinal search range [m] of every lead query (perception
+    #: sensor, AEBS radar, driver vision and the hazard monitor alike).
+    LEAD_RANGE = 250.0
+
     def lead_actor(
-        self, max_range: float = 250.0, corridor: Optional[float] = None
+        self, corridor: Optional[float] = None
     ) -> Optional[KinematicActor]:
-        """Nearest in-corridor actor ahead of the ego within ``max_range``.
+        """Nearest in-corridor actor ahead of the ego within
+        :data:`LEAD_RANGE`.
 
         Args:
-            max_range: longitudinal search range [m].
             corridor: lateral half-width [m]; defaults to
                 :data:`LEAD_CORRIDOR` (the sensor corridor).  The driver
                 model passes a wider value — a human looking out of the
@@ -166,16 +165,8 @@ class World:
         ego = self.ego
         if corridor is None:
             corridor = self.LEAD_CORRIDOR
-        cache = self._step_cache
-        if cache is not None and cache["time"] == self.time:
-            try:
-                # ``None`` (no lead) is a legitimate cached value, so the
-                # probe distinguishes a miss via KeyError, not a sentinel.
-                return cache[("lead", max_range, corridor)]
-            except KeyError:
-                pass
         best: Optional[KinematicActor] = None
-        best_gap = max_range
+        best_gap = self.LEAD_RANGE
         for binding in self.agents:
             actor = binding.actor
             if abs(actor.d - ego.d) > corridor:
@@ -204,9 +195,6 @@ class World:
         adjacent lane is measured against that lane's lines, as a
         camera-based lane detector would report.
         """
-        cache = self._step_cache
-        if cache is not None and cache["time"] == self.time:
-            return cache["lld"]
         lane = self.road.nearest_lane(self.ego.d)
         right, left = self.road.lane_bounds(lane)
         half_wid = 0.5 * self.ego.params.width

@@ -346,7 +346,7 @@ class TestBehaviorBatchFallback:
         from repro.sim.batch_state import BatchDynamics
 
         worlds, twins = self._mixed_worlds()
-        dynamics = BatchDynamics(worlds)
+        dynamics = BatchDynamics(worlds, [25.0] * len(worlds))
         lanes = list(range(len(worlds)))
         dynamics.prime(lanes)
         for _ in range(400):

@@ -41,8 +41,8 @@ from tests.test_executor import PoolContract
 pytestmark = pytest.mark.usefixtures("force_lockstep")
 
 #: The widest intervention stack: driver + safety check + independent
-#: AEB exercises every sensor corridor the batch engine pre-computes
-#: (default, radar, human) plus the perception/curvature cache.
+#: AEB exercises every lead corridor of the batch engine's control view
+#: (sensor, radar, human) plus its look-ahead curvature.
 FULL_CFG = InterventionConfig(
     driver=True, safety_check=True, aeb=AebsConfig.INDEPENDENT
 )
@@ -483,7 +483,6 @@ class TestBatchMlLaneEquivalence:
     def test_ml_lanes_join_vector_set(self):
         from repro.core.platform import SimulationPlatform
         from repro.sim.batch_control import BatchControlStack
-        from repro.sim.batch_state import BatchDynamics
 
         spec = _family_spec("S1", FaultType.NONE, seed=1, repetitions=1)
         episodes = enumerate_campaign(spec)
@@ -493,14 +492,7 @@ class TestBatchMlLaneEquivalence:
                 episodes[0], ML_CFG, ml_controller=factory(), max_steps=50
             )
         ]
-        dynamics = BatchDynamics(
-            [p.world for p in platforms],
-            curvature_lookaheads=[
-                p.perception.params.curvature_lookahead for p in platforms
-            ],
-            lead_max_ranges=[p.sensor.max_range for p in platforms],
-        )
-        stack = BatchControlStack(platforms, dynamics)
+        stack = BatchControlStack(platforms)
         assert stack.vector_set == {0}
         assert stack.ml is not None
 

@@ -289,7 +289,7 @@ class TestCampaignCacheStore:
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
         cache.put("aa" * 32, [EpisodeResult()])
-        assert all(not n.endswith(".tmp") for n in os.listdir(cache.root))
+        assert all(not n.endswith(".tmp") for n in sorted(os.listdir(cache.root)))
 
 
 class TestRunCampaignCaching:

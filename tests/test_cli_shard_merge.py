@@ -95,7 +95,7 @@ class TestCampaignCommand:
         second = tmp_path / "second.jsonl"
         base = CAMPAIGN_ARGS + ["--cache-dir", str(cache_dir)]
         assert main(base + ["-o", str(first)]) == 0
-        assert len(list(cache_dir.glob("*.jsonl"))) == 1
+        assert len(sorted(cache_dir.glob("*.jsonl"))) == 1
         assert main(base + ["-o", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
 
@@ -187,7 +187,7 @@ class TestGridCommandFlags:
                 str(resume_dir)]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        files = list(resume_dir.glob("*.jsonl"))
+        files = sorted(resume_dir.glob("*.jsonl"))
         assert len(files) == 1  # digest-named per-campaign file
         stamp = files[0].read_bytes()
         # Re-run: the campaign resumes from the complete file (0 episodes)

@@ -119,7 +119,7 @@ class TestManifest:
         entries = {"table4": {"inputs": ["ab" * 32], "body": "x"}}
         save_manifest(path, entries)
         assert load_manifest(path) == entries
-        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        assert not [n for n in sorted(os.listdir(tmp_path)) if n.endswith(".tmp")]
 
 
 class TestIncrementalRun:
@@ -378,6 +378,45 @@ class TestResumeOnlyArm:
         for o in outcome.artifacts:
             if o.artifact.artifact_id in ("table4", "table5"):
                 assert o.body == bodies[o.artifact.artifact_id]
+
+    def test_complete_ml_resume_file_skips_training(self, tmp_path, monkeypatch):
+        """The ML arm served from a complete resume file neither loads nor
+        trains its baseline, executes nothing and leaves the file as it
+        was."""
+        import repro.core.executor as executor
+        import repro.ml as ml
+
+        resume_dir = os.path.join(str(tmp_path), "resume")
+        config = small_config(
+            tmp_path, cache_dir=None, resume_dir=resume_dir, include_ml=True
+        )
+        engine = IncrementalReportEngine(config)
+        arm = engine_arms(engine)["table6:ml"]
+        digest = campaign_digest(
+            arm.campaign, arm.interventions, ml_token=arm.ml_token
+        )
+        path = resume_file_for(resume_dir, digest)
+        fakes = fake_results(arm.campaign, "ml")
+        save_results(fakes, path)
+        write_digest_sidecar(path, digest)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        assert engine.arm_status(arm).state == "resumable-complete"
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("complete ML arm requested its baseline")
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("complete ML arm executed episodes")
+
+        monkeypatch.setattr(ml, "load_or_train_cached", no_training)
+        monkeypatch.setattr(executor, "_build_platform", no_execution)
+        result = engine._arm_result(arm)
+        assert len(result.results) == 36
+        assert result.results == fakes
+        assert {r.intervention for r in result.results} == {"ml"}
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
 
 class TestReportErrorHandling:

@@ -73,6 +73,31 @@ class TestUnseededRng:
         )
         assert findings == []
 
+    def test_seeded_random_instance_allowed(self):
+        findings = run_rule(
+            "unseeded-rng",
+            """\
+            import random
+            rng = random.Random(0)
+            other = random.Random(x=1)
+            """,
+        )
+        assert findings == []
+
+    def test_unseeded_random_instance_and_globals_still_flagged(self):
+        findings = run_rule(
+            "unseeded-rng",
+            """\
+            import random
+            rng = random.Random()
+            random.seed(3)
+            value = random.random()
+            """,
+        )
+        assert [f.line for f in findings] == [2, 3, 4]
+        assert "operating system" in findings[0].message
+        assert "process-global" in findings[2].message
+
     def test_pragma_suppresses(self):
         findings = run_rule(
             "unseeded-rng",
@@ -230,6 +255,28 @@ class TestUnsortedFsIteration:
             """,
         )
         assert findings == []
+
+    def test_comprehension_into_wrapper_allowed(self):
+        findings = run_rule(
+            "unsorted-fs-iteration",
+            """\
+            import os
+            names = sorted(n for n in os.listdir("cache") if n.endswith(".jsonl"))
+            count = len([n for n in os.listdir("cache") if n.endswith(".tmp")])
+            """,
+        )
+        assert findings == []
+
+    def test_comprehension_without_wrapper_still_flagged(self):
+        findings = run_rule(
+            "unsorted-fs-iteration",
+            """\
+            import os
+            names = [n for n in os.listdir("cache") if n.endswith(".jsonl")]
+            first = next(n for n in os.listdir("cache"))
+            """,
+        )
+        assert [f.line for f in findings] == [2, 3]
 
     def test_pragma_suppresses(self):
         findings = run_rule(

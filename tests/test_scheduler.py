@@ -248,7 +248,9 @@ class TestInProcessDispatch:
             cache=False,
             max_steps=MAX_STEPS,
         )
-        leftovers = [n for n in os.listdir(tmp_path) if "repro-dispatch" in n]
+        leftovers = [
+            n for n in sorted(os.listdir(tmp_path)) if "repro-dispatch" in n
+        ]
         assert leftovers == []
 
     def test_cache_write_through_and_warm_hit(self, tmp_path):
@@ -451,7 +453,9 @@ class TestSubprocessFleet:
                 backend=fleet_backend,
                 workdir=str(tmp_path / "fleet"),
                 cache=False,
-                ml_factory=lambda: None,
+                # Deliberately unpicklable: the fleet must refuse it
+                # before it spawns a worker.
+                ml_factory=lambda: None,  # repro-lint: disable=unpicklable-submission
                 max_steps=MAX_STEPS,
             )
 
