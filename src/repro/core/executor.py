@@ -168,8 +168,9 @@ def run_steps(
 
     The one scalar step loop: ``SimulationPlatform.run`` and
     :class:`SerialExecutor` run every episode through it from step 0, and
-    :class:`BatchExecutor` finishes the lanes of a narrow lockstep through
-    it from the step they reached.  With a ``profile`` the clock is read
+    :class:`BatchExecutor` runs the lanes its lockstep refuses through it
+    from step 0 and finishes the lanes of a narrow lockstep through it
+    from the step they reached.  With a ``profile`` the clock is read
     between the phases, which changes no result.
     """
     dt = platform.dt
@@ -424,6 +425,10 @@ class BatchExecutor(CampaignExecutor):
     Episodes can only share an integrate when they share a physics period,
     so tasks are grouped by their ``dt``; episodes finish independently
     (accident or ``max_steps``) and drop out of the lockstep as they do.
+    A lane joins the lockstep only when every stage of its step has a
+    lane-wide twin (:func:`repro.sim.batch_control.lockstep_refusal`);
+    a refused lane (a trace recorder, a non-stock ML controller, a
+    third-party agent behaviour) runs on the scalar loop from step 0.
     Once fewer than :data:`BREAK_EVEN_LANES` lanes remain and none runs
     a batched ML controller (whose stacked LSTM forward wins at any
     width), the lockstep hands off: every lane's state is synced back to
@@ -480,16 +485,30 @@ class BatchExecutor(CampaignExecutor):
         tracker: ProgressTracker,
     ) -> None:
         """Run one same-``dt`` group of episodes in lockstep."""
-        from repro.sim.batch_control import BatchControlStack
+        from repro.sim.batch_control import BatchControlStack, lockstep_refusal
         from repro.sim.batch_hazards import BatchHazardMonitor
 
-        platforms = [_build_platform(tasks[index]) for index in indices]
+        profile = self.profile
+        platforms = []
+        admitted = []
+        for index in indices:
+            platform = _build_platform(tasks[index])
+            if lockstep_refusal(platform) is None:
+                platforms.append(platform)
+                admitted.append(index)
+            else:
+                results[index] = run_steps(
+                    platform, platform._begin_episode(), profile=profile
+                )
+                tracker.advance()
+        if not platforms:
+            return
+        indices = admitted
         stack = BatchControlStack(platforms)
         dynamics = stack.dynamics
         hazards = BatchHazardMonitor(
             [platform.hazards for platform in platforms], dynamics
         )
-        profile = self.profile
         dt = platforms[0].dt
         episodes = [platform._begin_episode() for platform in platforms]
         steps = [0] * len(platforms)
@@ -499,12 +518,11 @@ class BatchExecutor(CampaignExecutor):
         dynamics.prime(active)
 
         def sync(lane: int) -> None:
-            # A vector lane's state lives in the stack's arrays until
-            # retire() writes it back to its objects; quiet steps skip the
-            # per-step counter write, so the step count is stamped first.
-            if lane in stack.vector_set:
-                episodes[lane].steps = steps[lane]
-                stack.retire(lane, episodes[lane])
+            # A lane's state lives in the stack's arrays until retire()
+            # writes it back to its objects; quiet steps skip the per-step
+            # counter write, so the step count is stamped first.
+            episodes[lane].steps = steps[lane]
+            stack.retire(lane, episodes[lane])
 
         while active:
             if len(active) < BREAK_EVEN_LANES and stack.ml_set.isdisjoint(active):
@@ -519,11 +537,7 @@ class BatchExecutor(CampaignExecutor):
                     tracker.advance()
                 return
             t0 = perf_counter() if profile is not None else 0.0
-            vector_lanes = [lane for lane in active if lane in stack.vector_set]
-            stack.step_control(vector_lanes)
-            for lane in active:
-                if lane not in stack.vector_set:
-                    platforms[lane]._control_phase(steps[lane], episodes[lane])
+            stack.step_control(active)
             if profile is not None:
                 t1 = perf_counter()
                 profile.control_s += t1 - t0
@@ -532,27 +546,19 @@ class BatchExecutor(CampaignExecutor):
                 t2 = perf_counter()
                 profile.dynamics_s += t2 - t1
                 profile.steps += len(active)
-            stack.accumulate(vector_lanes)
+            stack.accumulate(active)
             # Masked hazard screen: only lanes where the scalar monitor
             # could mark or latch something this step run it; the mask is
-            # exact, so quiet lanes skip the per-lane update entirely.
+            # exact, so quiet lanes skip the per-lane update entirely.  The
+            # intervention recorders already ran in step_control.
             haz_flags = hazards.screen(active)
             remaining = []
             for pos, lane in enumerate(active):
                 platform = platforms[lane]
-                if lane in stack.vector_set:
-                    # The intervention recorders already ran vectorized in
-                    # step_control; only mask-flagged hazard detection
-                    # remains per lane.
-                    if haz_flags[pos]:
-                        finished = platform._close_step(
-                            steps[lane], episodes[lane]
-                        )
-                        hazards.refresh(lane)
-                    else:
-                        finished = False
-                else:
-                    finished = platform._after_dynamics(steps[lane], episodes[lane])
+                finished = False
+                if haz_flags[pos]:
+                    finished = platform._close_step(steps[lane], episodes[lane])
+                    hazards.refresh(lane)
                 steps[lane] += 1
                 if finished or steps[lane] >= platform.max_steps:
                     sync(lane)

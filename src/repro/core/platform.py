@@ -242,16 +242,6 @@ class SimulationPlatform:
     # One control step
     # ------------------------------------------------------------------ #
 
-    def _step(self, step_index: int, result: EpisodeResult) -> AebsState:
-        """Control phase + physics + bookkeeping, as one call.
-
-        Kept as the single-step entry point for consumers that interleave
-        their own logic with stepping (e.g. the ML dataset recorder).
-        """
-        self._control_phase(step_index, result)
-        self.world.step(self.dt)
-        return self._post_step(step_index, result)
-
     def _control_phase(self, step_index: int, result: EpisodeResult) -> None:
         """Pipeline steps 1-7: sense, inject, decide, actuate (pre-physics)."""
         dt = self.dt
@@ -311,32 +301,11 @@ class SimulationPlatform:
         if final.long_authority in ("adas", "ml"):
             authority = ego.powertrain.params.adas_brake_authority
             applied_accel = max(applied_accel, -authority)
-        self._stage_control(
-            now, perceived, aebs_state, driver_action, ml_recovery, final,
-            applied_accel,
-        )
-
-    def _stage_control(
-        self,
-        now: float,
-        perceived,
-        aebs_state: AebsState,
-        driver_action,
-        ml_recovery: bool,
-        final,
-        applied_accel: float,
-    ) -> None:
-        """Actuate a resolved command and stage it for ``_post_step``.
-
-        The tail of the control phase, split out so the vectorized batch
-        path (:class:`repro.sim.batch_control.BatchControlStack`) can stage
-        per-lane results identically after computing the decision math on
-        arrays.
-        """
         self._last_commanded_brake = max(0.0, -final.accel)
-        self.world.ego.apply_controls(
+        ego.apply_controls(
             applied_accel, final.steer, driver_steering=final.driver_steering
         )
+        # Staged for _post_step, after the physics.
         self._ctrl = (now, perceived, aebs_state, driver_action, ml_recovery, final)
 
     def _post_step(self, step_index: int, result: EpisodeResult) -> AebsState:

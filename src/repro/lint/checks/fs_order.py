@@ -10,8 +10,9 @@ byte-identical.
 
 The fix is mechanical — wrap the call in ``sorted(...)`` at the call
 site.  The rule accepts exactly that shape (plus order-insensitive
-``len(...)`` consumption), and a listing that is the iterable of a
-comprehension or generator passed straight to such a wrapper
+consumption by ``len``, ``set``, ``frozenset``, ``sum``, ``all`` or
+``any``), and a listing that is the iterable of a comprehension or
+generator passed straight to such a wrapper
 (``sorted(n for n in os.listdir(d) if ...)``); assigning the raw listing
 to a variable and sorting *later* still flags, because every path
 between the call and the sort is a place an unsorted copy can leak.
@@ -38,7 +39,9 @@ _LISTING_CALLS = {
 _LISTING_METHODS = {"iterdir", "glob", "rglob"}
 
 #: Wrappers that consume a listing order-insensitively.
-_ORDER_INSENSITIVE_WRAPPERS = {"sorted", "len", "set", "frozenset", "sum"}
+_ORDER_INSENSITIVE_WRAPPERS = {
+    "sorted", "len", "set", "frozenset", "sum", "all", "any",
+}
 
 #: Comprehensions whose value keeps its iterable's order.
 _COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.attacks.campaign import EpisodeSpec
 from repro.attacks.fi import FaultType
+from repro.core.metrics import EpisodeResult
 from repro.core.platform import SimulationPlatform
 from repro.safety.arbitration import InterventionConfig
 
@@ -74,8 +75,16 @@ def collect_fault_free_traces(
                 )
                 feats: List[List[float]] = []
                 targets: List[List[float]] = []
-                recorder = _StepRecorder(platform, feats, targets)
-                recorder.run()
+                result = EpisodeResult()
+                for step in range(max_steps):
+                    feats.append(platform._ml_features())
+                    platform._control_phase(step, result)
+                    platform.world.step(platform.dt)
+                    platform._post_step(step, result)
+                    cmd = platform.controls.last_command
+                    targets.append([cmd.accel, cmd.steer])
+                    if platform.hazards.update(platform.world) is not None:
+                        break
                 traces.append(
                     Trace(
                         features=np.asarray(feats, dtype=np.float64),
@@ -83,28 +92,6 @@ def collect_fault_free_traces(
                     )
                 )
     return traces
-
-
-class _StepRecorder:
-    """Runs a platform while logging features and ADAS outputs per step."""
-
-    def __init__(self, platform: SimulationPlatform, feats, targets) -> None:
-        self.platform = platform
-        self.feats = feats
-        self.targets = targets
-
-    def run(self) -> None:
-        platform = self.platform
-        from repro.core.metrics import EpisodeResult
-
-        result = EpisodeResult()
-        for step in range(platform.max_steps):
-            self.feats.append(platform._ml_features())
-            aebs_state = platform._step(step, result)
-            cmd = platform.controls.last_command
-            self.targets.append([cmd.accel, cmd.steer])
-            if platform.hazards.update(platform.world) is not None:
-                break
 
 
 class TraceDataset:

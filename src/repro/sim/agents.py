@@ -187,7 +187,8 @@ class AgentBinding:
 #: what lets a behaviour round-trip through :class:`BehaviorSpec` (and
 #: lets the batch engine freeze the parameters into arrays).  Third-party
 #: behaviours are simply absent: :func:`behavior_kind` returns ``None``
-#: for them and every consumer falls back to the per-actor ``update``.
+#: for them, and the batch engine runs their lanes on the scalar loop
+#: (:func:`repro.sim.batch_agents.behavior_refusal`).
 BEHAVIOR_REGISTRY: Dict[str, Tuple[Type, Tuple[str, ...]]] = {
     "cruise": (CruiseBehavior, ("speed", "gain")),
     "speed_change": (

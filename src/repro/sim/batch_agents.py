@@ -10,12 +10,11 @@ selections preserving the scalar branch structure, operand order and the
 post-update trigger semantics), so the computed ``accel_cmd``/``d_target``
 values are **bit-identical** to the object loop.
 
-Lanes containing any *unknown* behaviour — a third-party class, or a
-subclass of a built-in (which may override ``update``) — fall back to the
-scalar per-actor loop wholesale, in agent order, and their command state
-is re-gathered from the objects afterwards.  The whole-lane granularity
-is deliberate: a third-party behaviour may observe sibling actors, so the
-in-lane update order must be preserved exactly.
+A world carrying any *unknown* behaviour — a third-party class, or a
+subclass of a built-in (which may override ``update``) — has no array
+twin: :func:`behavior_refusal` names it, the executor runs that lane on
+the scalar loop from its first step, and :class:`BehaviorBatch` refuses
+it.
 
 Trigger latches (``behavior.triggered``) and lateral targets live in
 persistent full-width arrays indexed by a global actor id, so re-binding
@@ -44,6 +43,23 @@ from repro.utils.npmath import np_clamp as _np_clamp
 _KINDS = ("cruise", "speed_change", "sudden_stop", "cut_in", "lane_change_away")
 
 
+def behavior_refusal(world: World) -> Optional[str]:
+    """Why :class:`BehaviorBatch` cannot step ``world``'s agents, or None.
+
+    Only the registered kinds have an array twin; an agent whose
+    behaviour :func:`~repro.sim.agents.behavior_kind` does not know is
+    named with its behaviour class.
+    """
+    for binding in world.agents:
+        behavior = binding.behavior
+        if behavior is not None and behavior_kind(behavior) is None:
+            return (
+                f"agent {binding.actor.name!r} runs "
+                f"{type(behavior).__name__}, a behaviour with no registered kind"
+            )
+    return None
+
+
 class BehaviorBatch:
     """Lockstep behaviour updates for a fixed set of worlds.
 
@@ -52,29 +68,29 @@ class BehaviorBatch:
             actor layout (lane-major, agent order) must match the flat
             actor layout :class:`~repro.sim.batch_state.BatchDynamics`
             builds for the same worlds.
+
+    Raises:
+        ValueError: naming the first lane :func:`behavior_refusal`
+            refuses, and why.
     """
 
     def __init__(self, worlds: Sequence[World]) -> None:
-        self._worlds: List[World] = list(worlds)
         actors = []
         behaviors = []
         lane_first: List[int] = []
         lane_count: List[int] = []
-        lane_fallback: List[bool] = []
-        for world in self._worlds:
+        for lane, world in enumerate(worlds):
+            why = behavior_refusal(world)
+            if why is not None:
+                raise ValueError(f"lane {lane} cannot join the lockstep: {why}")
             lane_first.append(len(actors))
             lane_count.append(len(world.agents))
-            fallback = False
             for binding in world.agents:
                 actors.append(binding.actor)
                 behaviors.append(binding.behavior)
-                if binding.behavior is not None and behavior_kind(binding.behavior) is None:
-                    fallback = True
-            lane_fallback.append(fallback)
         self._behaviors = behaviors
         self._lane_first = lane_first
         self._lane_count = lane_count
-        self._lane_fallback = lane_fallback
         n = len(actors)
 
         # Persistent per-actor state (global index): current commands and
@@ -101,8 +117,6 @@ class BehaviorBatch:
             if beh is None:
                 continue
             kind = behavior_kind(beh)
-            if kind is None:
-                continue
             self._kind_id[gid] = _KINDS.index(kind)
             p = self._p
             if kind == "cruise":
@@ -136,21 +150,11 @@ class BehaviorBatch:
             return self._bound
         m = SimpleNamespace()
         g: List[int] = []
-        fb_rows: List[int] = []
-        fb_lane_pos: List[int] = []
-        for j, i in enumerate(key):
-            first, count = self._lane_first[i], self._lane_count[i]
-            if self._lane_fallback[i]:
-                fb_lane_pos.append(j)
-                fb_rows.extend(range(len(g), len(g) + count))
-            g.extend(range(first, first + count))
+        for i in key:
+            first = self._lane_first[i]
+            g.extend(range(first, first + self._lane_count[i]))
         m.g = np.asarray(g, dtype=np.intp)
-        m.fb_lane_pos = fb_lane_pos
-        m.fb_rows = np.asarray(fb_rows, dtype=np.intp)
         kid = self._kind_id[m.g]
-        if fb_rows:
-            kid = kid.copy()
-            kid[m.fb_rows] = -1  # fallback lanes never take the fast path
         m.kind_rows = [
             np.nonzero(kid == k)[0] for k in range(len(_KINDS))
         ]
@@ -182,19 +186,6 @@ class BehaviorBatch:
             to what the scalar loop would leave on the actor objects.
         """
         m = self._bind(key)
-
-        # Unknown-behaviour lanes: the scalar loop, verbatim and in order.
-        for j in m.fb_lane_pos:
-            world = b.worlds[j]
-            for binding in world.agents:
-                binding.update(world.ego, world.time)
-        if m.fb_rows.size:
-            gi = m.g[m.fb_rows]
-            for gid, row in zip(gi.tolist(), m.fb_rows.tolist()):
-                actor = b.actors[row]
-                self._accel[gid] = actor.accel_cmd
-                self._d_target[gid] = actor.d_target
-
         g = m.g
         acc = self._accel
         d_tgt = self._d_target

@@ -5,10 +5,11 @@
 the perception heads (lead gating + noise, lane lines, lagged curvature
 feed-forward/feedback), the lead tracker, the longitudinal/lateral planner
 math, the AEBS TTC/phase machine, LDW, the firmware safety checker and the
-arbitration hierarchy for *all* vectorizable lanes at once on
-structure-of-arrays NumPy float64 — then stages each lane's resolved
-command through ``SimulationPlatform._stage_control`` so the downstream
-bookkeeping (``_post_step``, metrics, hazards) is untouched.
+arbitration hierarchy for *all* lanes at once on structure-of-arrays NumPy
+float64, and hands each tick's actuator commands to the integrator as
+arrays (``BatchDynamics.accel_cmd``/``steer_cmd``/``driver_steering``).
+The intervention recorders and running metrics stay on arrays until
+:meth:`BatchControlStack.retire`.
 
 Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
 
@@ -31,15 +32,18 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
   baseline and network) run Algorithm 1 through
   :class:`repro.sim.batch_ml.BatchMitigation` — one row-exact
   ``LstmNetwork.forward`` per network per tick — and arbitrate through
-  the same vectorized hierarchy (``"ml"`` authority codes included).
-* **Per-lane-only features stay scalar.**  Lanes with a trace recorder or
-  any other ML controller are not vectorizable (:attr:`vector_set`
-  excludes them; the executor runs their ordinary ``_control_phase``).
-  The driver model and the fault-injection triggers run as per-lane hooks
-  *inside* the vectorized step, fed by (and feeding) the arrays.
+  the same vectorized hierarchy (the ACC brake clamp under ``"ml"``
+  authority included).
+* **Only lanes it fully vectorizes join.**  :func:`lockstep_refusal`
+  keeps out a lane with a trace recorder, an ML controller
+  :func:`~repro.sim.batch_ml.ml_batchable` rejects or an agent behaviour
+  with no registered kind; the executor runs such a lane on the scalar
+  loop from step 0, and the stack refuses it.  The driver model and the
+  fault-injection triggers run as per-lane hooks *inside* the vectorized
+  step, fed by (and feeding) the arrays.
 * **World queries come from the control view.**  Lead corridors,
   lane-line distances, look-ahead curvature and the cut-in bit are read
-  from ``BatchDynamics.control_view``; no vector lane queries its world.
+  from ``BatchDynamics.control_view``; no lockstep lane queries its world.
 
 State lives in full-width arrays indexed by global lane id; when a lane
 finishes, or the executor hands it to the scalar loop, :meth:`retire`
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,21 +64,38 @@ from repro.adas.lat_planner import lat_plan_arrays
 from repro.adas.lead_tracker import TrackedLead, tracker_step_arrays
 from repro.adas.long_planner import long_plan_arrays
 from repro.adas.perception import perception_head_arrays
-from repro.safety.aebs import AebsConfig, AebsState, aebs_step_arrays
-from repro.safety.arbitration import FinalCommand
-from repro.safety.driver import DriverAction, DriverView
+from repro.safety.aebs import AebsConfig, aebs_step_arrays
+from repro.safety.driver import DriverView
 from repro.safety.ldw import ldw_arrays
 from repro.safety.panda import checker_arrays
+from repro.sim.batch_agents import behavior_refusal
 from repro.sim.batch_ml import BatchMitigation, ml_batchable
 from repro.sim.batch_state import BatchDynamics
-from repro.utils.npmath import np_max_pair, np_min_pair
+from repro.utils.npmath import np_clamp, np_max_pair, np_min_pair
 from repro.utils.units import G
 
 #: Worst-case standard-normal draws one lane consumes per step.
 _DRAWS_PER_STEP = 5
 
-_LONG_AUTH = ("adas", "driver", "aeb", "ml")
-_LAT_AUTH = ("adas", "driver", "frozen", "ml")
+
+def lockstep_refusal(platform) -> Optional[str]:
+    """Why ``platform``'s episode cannot join a lockstep, or None.
+
+    The batch engine's one admission rule: a lane joins only when every
+    stage of its step has a lane-wide twin.  A trace recorder, an ML
+    controller :func:`~repro.sim.batch_ml.ml_batchable` rejects and an
+    agent behaviour with no registered kind
+    (:func:`~repro.sim.batch_agents.behavior_refusal`) have none.
+    """
+    if platform.trace is not None:
+        return "it records a trace"
+    controller = platform.ml_controller
+    if controller is not None and not ml_batchable(controller):
+        return (
+            "its ML controller is not a stock MitigationController over a "
+            "TrainedBaseline and LstmNetwork"
+        )
+    return behavior_refusal(platform.world)
 
 
 class BatchControlStack:
@@ -89,28 +110,28 @@ class BatchControlStack:
     radar corridor when some lane runs AEBS on its independent sensor and
     the human corridor when some lane has a driver model.  So the stack
     never reads a view that lacks a query one of its lanes needs.
+
+    Raises:
+        ValueError: naming the first lane :func:`lockstep_refusal`
+            refuses, and why.
     """
 
     def __init__(self, platforms: Sequence) -> None:
         self.platforms = list(platforms)
         n = len(self.platforms)
-
-        #: Lanes the vectorized path covers; the rest (trace recording, or
-        #: an ML controller ``BatchMitigation`` cannot replicate) must run
-        #: the scalar ``_control_phase``.
-        self.vector_set = frozenset(
-            i
-            for i, p in enumerate(self.platforms)
-            if p.trace is None
-            and (p.ml_controller is None or ml_batchable(p.ml_controller))
-        )
+        for lane, p in enumerate(self.platforms):
+            why = lockstep_refusal(p)
+            if why is not None:
+                raise ValueError(
+                    f"lane {lane} ({p.spec.label()}) cannot join the "
+                    f"lockstep: {why}"
+                )
 
         #: Vectorized Algorithm 1 over the ML lanes (None without any).
-        ml_lanes = sorted(
-            i for i in self.vector_set
-            if self.platforms[i].ml_controller is not None
-        )
-        #: Vector lanes whose Algorithm 1 runs batched (``self.ml``).
+        ml_lanes = [
+            i for i, p in enumerate(self.platforms) if p.ml_controller is not None
+        ]
+        #: Lanes whose Algorithm 1 runs batched (``self.ml``).
         self.ml_set = frozenset(ml_lanes)
         self.ml = BatchMitigation(self.platforms, ml_lanes) if ml_lanes else None
 
@@ -213,6 +234,7 @@ class BatchControlStack:
         self._brake_auth = arr(
             lambda p: p.world.ego.powertrain.params.adas_brake_authority
         )
+        self._ego_max_steer = arr(lambda p: p.world.ego.params.max_steer)
 
         # Per-lane scalar hooks.
         self._has_driver = [p.driver is not None for p in self.platforms]
@@ -252,7 +274,6 @@ class BatchControlStack:
                 for p in self.platforms
             ]
         )
-        self._drv_idle_action: List[Optional[object]] = [None] * n
 
         # Intervention-activity recorders (the vectorized `_post_step`):
         # per-channel state blocks, flushed into the EpisodeResult at
@@ -385,7 +406,7 @@ class BatchControlStack:
         "_ldw_dist", "_ldw_ttc", "_ldw_min_speed",
         "_has_checker", "_chk_max_accel", "_chk_min_accel",
         "_chk_max_steer", "_chk_steer_rate",
-        "_aeb_overrides", "_brake_auth", "_curv_la",
+        "_aeb_overrides", "_brake_auth", "_ego_max_steer", "_curv_la",
         "_drv_visual_ttc", "_drv_speed_limit", "_drv_unsafe_gap",
         "_drv_ua_gap", "_drv_lane_thresh",
     )
@@ -407,11 +428,13 @@ class BatchControlStack:
     # ------------------------------------------------------------------ #
 
     def step_control(self, lanes: Sequence[int]) -> None:
-        """Run the control phase for the given (vectorizable) lanes.
+        """Run the control phase for the given lanes.
 
-        Equivalent to calling ``platform._control_phase`` on each lane;
-        requires the dynamics' control view to be current (``prime``
-        before the first tick, ``step`` thereafter).
+        Equivalent to calling ``platform._control_phase`` on each lane,
+        except that the actuator commands are latched in the dynamics'
+        command arrays rather than on the egos; requires the dynamics'
+        control view to be current (``prime`` before the first tick,
+        ``step`` thereafter).
         """
         key = tuple(lanes)
         if not key:
@@ -603,7 +626,7 @@ class BatchControlStack:
             fcw,
             aeb_out_phase,
             aeb_brake,
-            aeb_ttc,
+            _aeb_ttc,
             aeb_phase,
             aeb_hold,
             aeb_rec,
@@ -645,7 +668,6 @@ class BatchControlStack:
             pr._ldw_min_speed,
         )
 
-        driver_actions: List[Optional[object]] = [None] * m
         drv_brake = np.zeros(m, dtype=bool)
         drv_brake_accel = np.zeros(m)
         drv_steer = np.zeros(m, dtype=bool)
@@ -691,24 +713,12 @@ class BatchControlStack:
             # scalar scan returns non-None") — no per-lane re-scan needed.
             cut_l = view.cut_in[pos].tolist()
             for j in drv_sub:
+                cut = cut_l[j]
+                if not busy[j] and not cut:
+                    continue
                 lane = key[j]
                 platform = self.platforms[lane]
                 drv = platform.driver
-                cut = cut_l[j]
-                if not busy[j] and not cut:
-                    action = self._drv_idle_action[lane]
-                    if action is None:
-                        action = DriverAction(
-                            brake_active=False,
-                            brake_accel=0.0,
-                            steer_active=False,
-                            steer_angle=0.0,
-                            brake_reason=drv._brake_reason,
-                            steer_reason=drv._steer_reason,
-                        )
-                        self._drv_idle_action[lane] = action
-                    driver_actions[j] = action
-                    continue
                 ego = platform.world.ego
                 gap = h_gap[j] if h_ok[j] else None
                 closing = h_rel[j] if h_ok[j] else 0.0
@@ -730,14 +740,12 @@ class BatchControlStack:
                         aeb_active=aeb_on_l[j],
                     )
                 )
-                self._drv_idle_action[lane] = None
                 self._drv_idle[lane] = (
                     not drv._brake_active
                     and drv._pending_brake_at is None
                     and not drv._steer_active
                     and drv._pending_steer_at is None
                 )
-                driver_actions[j] = action
                 drv_brake[j] = action.brake_active
                 drv_brake_accel[j] = action.brake_accel
                 drv_steer[j] = action.steer_active
@@ -784,12 +792,6 @@ class BatchControlStack:
         final_steer = np.where(
             m_frozen, frozen, np.where(m_drv_steer, drv_steer_angle, base_steer)
         )
-        # Unclaimed channels stay with the base path: "ml" while Algorithm
-        # 1 is in recovery, "adas" otherwise (scalar resolve() order).
-        base_long = np.where(ml_recovery, 3, 0)
-        base_lat = np.where(ml_recovery, 3, 0)
-        long_code = np.where(aeb_braking, 2, np.where(drv_brake, 1, base_long))
-        lat_code = np.where(m_frozen, 2, np.where(m_drv_steer, 1, base_lat))
 
         # ACC brake-authority clamp (long authority "adas" *or* "ml" —
         # exactly the lanes neither AEB nor the driver is braking).
@@ -801,7 +803,7 @@ class BatchControlStack:
             final_accel,
         )
 
-        # --- state write-back + per-lane staging ------------------------ #
+        # --- state write-back + actuation ------------------------------- #
         self._ff[idx] = ff_next
         self._t_valid[idx] = t_valid
         self._t_rd[idx] = t_rd
@@ -820,40 +822,20 @@ class BatchControlStack:
         self._last_brake[idx] = np.where(final_accel < 0.0, -final_accel, 0.0)
         self._prev_accel[idx] = final_accel
         self._prev_steer[idx] = final_steer
+        # EgoVehicle.apply_controls, on arrays.
+        dyn.accel_cmd[idx] = applied_accel
+        dyn.steer_cmd[idx] = np_clamp(
+            final_steer, -pr._ego_max_steer, pr._ego_max_steer
+        )
+        dyn.driver_steering[idx] = m_drv_steer
 
-        # Intervention recorders run on the staged (post-update) outputs,
-        # exactly the values the scalar `_post_step` records.
+        # Intervention recorders take this tick's outputs, exactly the
+        # values the scalar `_post_step` records.
         self._record(self._rec_aeb, idx, aeb_braking, now, dt)
         self._record(self._rec_fcw, idx, fcw, now, dt)
         self._record(self._rec_drv_brake, idx, drv_brake, now, dt)
         self._record(self._rec_drv_steer, idx, drv_steer, now, dt)
         self._record(self._rec_ml, idx, ml_recovery, now, dt)
-
-        fcw_l = fcw.tolist()
-        phase_l = aeb_out_phase.tolist()
-        brake_l = aeb_brake.tolist()
-        ttc_l = aeb_ttc.tolist()
-        fa_l = final_accel.tolist()
-        fs_l = final_steer.tolist()
-        ds_l = m_drv_steer.tolist()
-        app_l = applied_accel.tolist()
-        lc_l = long_code.tolist()
-        tc_l = lat_code.tolist()
-        mlr_l = ml_recovery.tolist()
-        for j, lane in enumerate(key):
-            aebs_state = AebsState(
-                fcw=fcw_l[j], phase=phase_l[j], brake_accel=brake_l[j], ttc=ttc_l[j]
-            )
-            final = FinalCommand(
-                accel=fa_l[j],
-                steer=fs_l[j],
-                driver_steering=ds_l[j],
-                long_authority=_LONG_AUTH[lc_l[j]],
-                lat_authority=_LAT_AUTH[tc_l[j]],
-            )
-            self.platforms[lane]._stage_control(
-                now, None, aebs_state, driver_actions[j], mlr_l[j], final, app_l[j]
-            )
 
     @staticmethod
     def _record(rec, idx: np.ndarray, active: np.ndarray, now: float, dt: float):
@@ -959,6 +941,12 @@ class BatchControlStack:
         are flushed into it and the follow-distance sums onto the
         platform, ready for ``_finish_episode`` or for further scalar
         steps.
+
+        The command latches are neither written by the lockstep nor
+        restored here: ``ego._accel_cmd``, ``ego._steer_cmd``,
+        ``ego._driver_steering``, ``platform._ctrl`` and
+        ``platform._last_commanded_brake``.  The next scalar
+        ``_control_phase`` rewrites each of them before anything reads it.
         """
         p = self.platforms[lane]
         if result is not None:

@@ -25,9 +25,9 @@ The screen is *exact*, not an over-approximation:
 * a latched *accident* retires the lane on the same step, so active lanes
   never exercise the monitor's accident short-circuit.
 
-Non-vector lanes (trace recording, or an ML controller the batch engine
-cannot replicate) run the full scalar ``_after_dynamics`` path and their
-mask bits are never consulted.
+Every lane of a lockstep is screened: a lane the batch engine cannot
+vectorize never joins one (see
+:func:`repro.sim.batch_control.lockstep_refusal`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
   makes, on any BLAS build (see :mod:`repro.ml.lstm`).  Only the stock
   classes promise that, so :func:`ml_batchable` admits a lane only when
   controller, baseline and network are exactly ``MitigationController``,
-  ``TrainedBaseline`` and ``LstmNetwork``; other lanes run scalar.
+  ``TrainedBaseline`` and ``LstmNetwork``; any other ML lane stays out of
+  the lockstep (:func:`repro.sim.batch_control.lockstep_refusal`) and
+  runs on the scalar loop.
 * **Warm-up mirrors the scalar path.**  Lanes with fewer than ``WINDOW``
   samples return the OP command with recovery False and touch no CUSUM
   state (see ``tests/test_ml.py::TestAlgorithm1EdgeSemantics``).
@@ -65,7 +67,7 @@ class BatchMitigation:
     Args:
         platforms: the batch's per-episode platforms, in lane order.
         lanes: global lane ids whose ``ml_controller`` satisfies
-            :func:`ml_batchable` (anything else stays on the scalar path).
+            :func:`ml_batchable` (the lockstep admits no other).
 
     The per-lane state is initialised to the *reset* state (empty window,
     zero CUSUM) — the executor's ``_begin_episode`` resets the scalar

@@ -3,24 +3,25 @@
 :class:`BatchDynamics` replaces the per-object ``World.step`` hot loop for a
 *batch* of episodes: per control tick it integrates every lane's dynamic
 state (ego bicycle model, powertrain lag, traffic actors) as flat NumPy
-arrays with vectorized float64 arithmetic, and scatters the state back onto
-the per-lane objects.  It then computes the pure world queries the control
-stack reads every step — lead selection for each sensor corridor,
-lane-line distances, look-ahead road curvature, the cut-in screen — for all
-lanes at once into :attr:`BatchDynamics.control_view`, the lockstep's only
-copy of them.  Scalar callers (hazard-flagged lanes, non-vector lanes,
-lanes handed off to the scalar loop) run the world's own queries on the
-synced objects.
+arrays with vectorized float64 arithmetic, driven by the actuator
+commands the control stack writes into its command arrays, and scatters
+the state back onto the per-lane objects.  It then computes the pure world
+queries the control stack reads every step — lead selection for each
+sensor corridor, lane-line distances, look-ahead road curvature, the
+cut-in screen — for all lanes at once into
+:attr:`BatchDynamics.control_view`, the lockstep's only copy of them.
+Scalar callers (hazard-flagged lanes, lanes handed off to the scalar loop)
+run the world's own queries on the synced objects.
 
 The perception/control/safety stack is vectorized in
 :mod:`repro.sim.batch_control`, which reads the control view.  The batch
 path produces **bit-identical** episode results to the serial path:
 
 * behaviours run through :class:`repro.sim.batch_agents.BehaviorBatch`,
-  which replicates the built-in behaviour set as array expressions (and
-  falls back to the scalar per-actor loop on lanes with unknown
-  behaviours); the resulting ``accel_cmd`` / ``d_target`` are scattered
-  back onto the actors every step, exactly as in ``World.step``;
+  which replicates the built-in behaviour set as array expressions (a
+  lane with any other behaviour never joins a lockstep); the resulting
+  ``accel_cmd`` / ``d_target`` are scattered back onto the actors every
+  step, exactly as in ``World.step``;
 * the vectorized math uses only IEEE-754 elementwise operations
   (``+ - * / sqrt copysign abs`` and comparisons), which NumPy evaluates
   bit-identically to the scalar Python expressions they replace;
@@ -63,8 +64,9 @@ class BatchDynamics:
     Args:
         worlds: the per-episode worlds.  Their parameter tables (vehicle,
             powertrain, road geometry, friction) are frozen into arrays at
-            construction; per-step state is gathered/scattered on every
-            :meth:`step`, so lanes may be stepped in any active subset.
+            construction; their state is gathered when an active subset
+            is bound and scattered back on every :meth:`step`, so lanes
+            may be stepped in any active subset.
         curvature_lookaheads: per-lane perception curvature look-ahead [m]
             (``GroundTruthSensor.road_curvature``'s argument).
         radar_leads: also compute the independent-radar lead corridor
@@ -144,7 +146,7 @@ class BatchDynamics:
 
         # Traffic actor slots (agent lists are fixed after scenario build).
         self._actors_by_lane = [[b.actor for b in w.agents] for w in self.worlds]
-        # Vectorized behaviour updates (scalar fallback per unknown lane).
+        # Vectorized behaviour updates.
         self.behaviors = BehaviorBatch(self.worlds)
 
         # Lead corridors computed each step, by name: the sensor's (also
@@ -159,6 +161,14 @@ class BatchDynamics:
         if human_leads:
             self._corridors["human"] = np.full(n, HUMAN_CORRIDOR)
         self._curv_la = np.array([float(v) for v in curvature_lookaheads])
+
+        #: Latched actuator commands by lane, the array twin of
+        #: ``EgoVehicle.apply_controls``: the control stack writes them
+        #: every tick and :meth:`step` reads them.  Zero until then, like a
+        #: fresh ego's latch.
+        self.accel_cmd = np.zeros(n)
+        self.steer_cmd = np.zeros(n)
+        self.driver_steering = np.zeros(n, dtype=bool)
 
         self._bound_key: Optional[tuple] = None
         self._bound: Optional[SimpleNamespace] = None
@@ -183,6 +193,7 @@ class BatchDynamics:
             return self._bound
         idx = np.asarray(key, dtype=np.intp)
         b = SimpleNamespace()
+        b.idx = idx
         b.worlds = [self.worlds[i] for i in key]
         b.egos = [w.ego for w in b.worlds]
         b.mu_g = self._mu[idx] * G
@@ -260,9 +271,8 @@ class BatchDynamics:
         b.off_road_latch = np.array([w.off_road for w in b.worlds])
 
         # Persistent dynamic-state arrays.  These fields are written *only*
-        # by the integrate (the control stack mutates the command fields,
-        # gathered fresh each step), so within one binding they stay
-        # authoritative and the per-step gather shrinks to the commands.
+        # by the integrate (the control stack writes the command arrays),
+        # so within one binding they stay authoritative.
         b.steer = np.array([e.steer for e in b.egos])
         b.speed = np.array([e.speed for e in b.egos])
         b.s = np.array([e.s for e in b.egos])
@@ -330,8 +340,9 @@ class BatchDynamics:
         """Advance the given lanes by ``dt`` (the batch ``World.step``).
 
         Order per lane is identical to ``World.step``: behaviours, ego
-        integrate, actor integrate, time advance, collision detection,
-        departure detection — then the control-view update.
+        integrate (on the latched :attr:`accel_cmd`, :attr:`steer_cmd` and
+        :attr:`driver_steering`), actor integrate, time advance, collision
+        detection, departure detection — then the control-view update.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -340,28 +351,20 @@ class BatchDynamics:
 
         # Behaviours run *before* the integrate (they set the actor
         # commands the integrate consumes), exactly as World.step — but
-        # vectorized over lanes, with scalar fallback per unknown lane.
+        # vectorized over lanes.
         if b.actors:
             a_cmd_accel, a_cmd_dt = self.behaviors.update(b, key)
 
-        egos = b.egos
-
-        # -------- gather command state -------------------------------- #
-        # Only the fields the control stack mutates between steps; the
-        # dynamic state lives in the binding's persistent arrays.
-        cmd = np.array([(e._steer_cmd, e._accel_cmd) for e in egos])
-        steer_cmd = cmd[:, 0]
-        accel_cmd = cmd[:, 1]
+        # The dynamic state lives in the binding's persistent arrays.
+        steer_cmd = self.steer_cmd[b.idx]
+        accel_cmd = self.accel_cmd[b.idx]
+        driver_steering = self.driver_steering[b.idx]
         steer = b.steer
         speed = b.speed
         s = b.s
         d = b.d
         psi = b.psi
         brake_decel = b.brake_decel
-        driver_steering = np.array(
-            [getattr(e, "_driver_steering", False) for e in egos]
-        )
-
         mu_g = b.mu_g
 
         # -------- EgoVehicle.step, vectorized ------------------------- #
@@ -434,7 +437,7 @@ class BatchDynamics:
             (steer, brake_decel, achieved, speed, s, d, psi), axis=1
         ).tolist()
         sliding = understeer.tolist()
-        for j, ego in enumerate(egos):
+        for j, ego in enumerate(b.egos):
             row = ego_out[j]
             ego.steer = row[0]
             ego.powertrain._brake_decel = row[1]

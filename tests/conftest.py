@@ -6,8 +6,16 @@ import pytest
 
 from repro.attacks.campaign import EpisodeSpec
 from repro.attacks.fi import FaultType
+from repro.sim.agents import AgentBinding
+from repro.sim.families import (
+    ScenarioFamily,
+    lead_start_s,
+    register_family,
+    scenario_base,
+    unregister_family,
+)
 from repro.sim.track import build_highway_map, build_straight_map
-from repro.sim.vehicle import EgoVehicle
+from repro.sim.vehicle import EgoVehicle, KinematicActor
 from repro.sim.world import World
 
 
@@ -24,6 +32,45 @@ def force_lockstep(monkeypatch):
     from repro.core import executor
 
     monkeypatch.setattr(executor, "BREAK_EVEN_LANES", 0)
+
+
+class Oscillator:
+    """A third-party behaviour: no registered kind, so no array twin."""
+
+    def __init__(self, speed=13.0):
+        self.speed = speed
+        self.sign = 1.0
+
+    def update(self, actor, ego, t):
+        self.sign = -self.sign
+        actor.accel_cmd = 0.5 * (self.speed - actor.speed) + 0.4 * self.sign
+
+
+class ThirdPartyFamily(ScenarioFamily):
+    """A lead ahead of the ego, driven by :class:`Oscillator`."""
+
+    family_id = "third-party-lead"
+    title = "lead car with a third-party behaviour"
+
+    def build(self, config):
+        world, _, _ = scenario_base(config)
+        lead = KinematicActor(
+            world.road,
+            s=lead_start_s(world.ego, config.initial_gap),
+            d=0.0,
+            speed=13.0,
+            name="LV",
+        )
+        world.add_agent(AgentBinding(lead, Oscillator()))
+        return world
+
+
+@pytest.fixture
+def third_party_family():
+    """Register :class:`ThirdPartyFamily` for one test; yields its id."""
+    register_family(ThirdPartyFamily())
+    yield ThirdPartyFamily.family_id
+    unregister_family(ThirdPartyFamily.family_id)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from repro.sim.track import build_straight_map
 from repro.sim.vehicle import EgoVehicle, KinematicActor
 from repro.sim.weather import FrictionCondition
 from repro.sim.world import World
+from tests.conftest import Oscillator
 
 DT = 0.01
 
@@ -286,84 +287,33 @@ class TestBehaviorRegistry:
         assert behavior_spec(object()) is None
 
 
-class TestBehaviorBatchFallback:
-    def _mixed_worlds(self):
-        """Two identical world pairs: one lane all-builtin, one lane
-        carrying a third-party behaviour (forces the scalar fallback)."""
-
-        class Oscillator:
-            """Third-party behaviour: not in the registry."""
-
-            def __init__(self):
-                self.sign = 1.0
-
-            def update(self, actor, ego, t):
-                self.sign = -self.sign
-                actor.accel_cmd = 0.4 * self.sign
-
-        worlds = []
-        for _ in range(2):
-            road = build_straight_map()
-            ego = EgoVehicle(road, s=50.0, d=0.0, speed=20.0)
-            world = World(road, ego)
-            lead = KinematicActor(road, s=90.0, d=0.0, speed=13.0, name="LV")
-            world.add_agent(AgentBinding(lead, SuddenStopBehavior(13.0, 35.0, 8.0)))
-            side = KinematicActor(road, s=70.0, d=3.7, speed=14.0, name="3P")
-            world.add_agent(AgentBinding(side, Oscillator()))
-            worlds.append(world)
+class TestBehaviorBatchRefusal:
+    def _worlds(self):
+        """An all-builtin lane, then one carrying a third-party
+        behaviour."""
         road = build_straight_map()
-        ego = EgoVehicle(road, s=50.0, d=0.0, speed=20.0)
-        pure = World(road, ego)
+        mixed = World(road, EgoVehicle(road, s=50.0, d=0.0, speed=20.0))
+        lead = KinematicActor(road, s=90.0, d=0.0, speed=13.0, name="LV")
+        mixed.add_agent(AgentBinding(lead, SuddenStopBehavior(13.0, 35.0, 8.0)))
+        side = KinematicActor(road, s=70.0, d=3.7, speed=14.0, name="3P")
+        mixed.add_agent(AgentBinding(side, Oscillator()))
+        road = build_straight_map()
+        pure = World(road, EgoVehicle(road, s=50.0, d=0.0, speed=20.0))
         lead = KinematicActor(road, s=90.0, d=0.0, speed=13.0, name="LV")
         pure.add_agent(AgentBinding(lead, CutInBehavior(13.0, 45.0, target_d=0.0)))
-        worlds.insert(1, pure)
-        # serial twins, built identically
-        twins = []
-        for w in worlds:
-            road = build_straight_map()
-            ego = EgoVehicle(road, s=50.0, d=0.0, speed=20.0)
-            t = World(road, ego)
-            for binding in w.agents:
-                actor = KinematicActor(
-                    road,
-                    s=binding.actor.s,
-                    d=binding.actor.d,
-                    speed=binding.actor.speed,
-                    name=binding.actor.name,
-                )
-                beh = binding.behavior
-                if isinstance(beh, SuddenStopBehavior):
-                    twin_beh = SuddenStopBehavior(13.0, 35.0, 8.0)
-                elif isinstance(beh, CutInBehavior):
-                    twin_beh = CutInBehavior(13.0, 45.0, target_d=0.0)
-                else:
-                    twin_beh = type(beh)()
-                t.add_agent(AgentBinding(actor, twin_beh))
-            twins.append(t)
-        return worlds, twins
+        return [pure, mixed]
 
-    def test_unknown_behaviour_lane_falls_back_bit_identical(self):
-        from repro.sim.batch_state import BatchDynamics
+    def test_unknown_behaviour_lane_refused(self):
+        # A third-party behaviour has no array twin: the lane runs on the
+        # scalar loop instead (the executor-level byte-compare lives in
+        # tests/test_batch_handoff.py::TestRefusedLanes).
+        from repro.sim.batch_agents import BehaviorBatch, behavior_refusal
 
-        worlds, twins = self._mixed_worlds()
-        dynamics = BatchDynamics(worlds, [25.0] * len(worlds))
-        lanes = list(range(len(worlds)))
-        dynamics.prime(lanes)
-        for _ in range(400):
-            for w in worlds + twins:
-                w.ego.apply_controls(0.0, 0.0)
-            dynamics.step(lanes, DT)
-            for t in twins:
-                t.step(DT)
-        for world, twin in zip(worlds, twins):
-            assert world.ego.s == twin.ego.s
-            assert world.ego.speed == twin.ego.speed
-            for wb, tb in zip(world.agents, twin.agents):
-                assert wb.actor.s == tb.actor.s
-                assert wb.actor.d == tb.actor.d
-                assert wb.actor.speed == tb.actor.speed
-                assert wb.actor.accel_cmd == tb.actor.accel_cmd
-                assert wb.actor.d_target == tb.actor.d_target
-                trig_w = getattr(wb.behavior, "triggered", None)
-                trig_t = getattr(tb.behavior, "triggered", None)
-                assert trig_w == trig_t
+        pure, mixed = self._worlds()
+        assert behavior_refusal(pure) is None
+        assert "Oscillator" in behavior_refusal(mixed)
+        BehaviorBatch([pure])
+        with pytest.raises(
+            ValueError, match=r"lane 1 cannot join the lockstep: agent '3P' runs Oscillator"
+        ):
+            BehaviorBatch([pure, mixed])

@@ -12,6 +12,8 @@ them straight to the scalar loop.  The hand-off itself is pinned in
 ``tests/test_batch_handoff.py``.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -480,9 +482,9 @@ class TestBatchMlLaneEquivalence:
         assert any(r.ml_recovery.triggered for r in serial.results)
         assert batch.results == serial.results
 
-    def test_ml_lanes_join_vector_set(self):
+    def test_ml_lanes_join_ml_set(self):
         from repro.core.platform import SimulationPlatform
-        from repro.sim.batch_control import BatchControlStack
+        from repro.sim.batch_control import BatchControlStack, lockstep_refusal
 
         spec = _family_spec("S1", FaultType.NONE, seed=1, repetitions=1)
         episodes = enumerate_campaign(spec)
@@ -492,8 +494,9 @@ class TestBatchMlLaneEquivalence:
                 episodes[0], ML_CFG, ml_controller=factory(), max_steps=50
             )
         ]
+        assert lockstep_refusal(platforms[0]) is None
         stack = BatchControlStack(platforms)
-        assert stack.vector_set == {0}
+        assert stack.ml_set == {0}
         assert stack.ml is not None
 
     def test_non_stock_controller_falls_back_to_scalar_and_matches(self):
@@ -565,6 +568,62 @@ class TestBatchMlLaneEquivalence:
         serial = SerialExecutor().run(tasks)
         batch = BatchExecutor().run(tasks)
         assert batch == serial
+
+
+def _platform(spec, cfg=FULL_CFG, ml_factory=None, **kwargs):
+    from repro.core.platform import SimulationPlatform
+
+    controller = ml_factory() if ml_factory is not None else None
+    return SimulationPlatform(
+        spec, cfg, ml_controller=controller, max_steps=50, **kwargs
+    )
+
+
+class TestLockstepAdmission:
+    """``lockstep_refusal`` is the batch engine's one admission rule."""
+
+    @pytest.mark.parametrize("family", registered_families())
+    def test_every_family_admitted_under_report_configs(self, family):
+        # A shipped family with a third-party behaviour would run at
+        # serial speed under --executor batch; this keeps it visible.
+        from repro.sim.batch_control import lockstep_refusal
+
+        spec = enumerate_campaign(
+            _family_spec(family, FaultType.RELATIVE_DISTANCE, seed=5)
+        )[0]
+        assert lockstep_refusal(_platform(spec)) is None
+        ml_lane = _platform(spec, ML_CFG, ml_factory=synthetic_ml_factory())
+        assert lockstep_refusal(ml_lane) is None
+
+    @pytest.mark.parametrize(
+        "cause", ["trace", "ml-controller", "behaviour"]
+    )
+    def test_stack_refuses_naming_the_lane(self, cause, third_party_family):
+        from repro.sim.batch_control import BatchControlStack, lockstep_refusal
+
+        plain = enumerate_campaign(
+            _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=5)
+        )[0]
+        if cause == "trace":
+            refused = _platform(plain, record_trace=True)
+            why = "it records a trace"
+        elif cause == "ml-controller":
+            refused = _platform(plain, ML_CFG, ml_factory=constant_ml_factory)
+            why = "its ML controller is not a stock MitigationController"
+        else:
+            refused = _platform(
+                enumerate_campaign(
+                    _family_spec(third_party_family, FaultType.NONE, seed=5)
+                )[0]
+            )
+            why = "agent 'LV' runs Oscillator, a behaviour with no registered kind"
+        assert lockstep_refusal(refused) is not None
+        with pytest.raises(
+            ValueError,
+            match=rf"lane 1 \({re.escape(refused.spec.label())}\) cannot "
+            rf"join the lockstep: {why}",
+        ):
+            BatchControlStack([_platform(plain), refused])
 
 
 class TestBatchParallelExecutor(PoolContract):

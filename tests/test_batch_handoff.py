@@ -34,6 +34,7 @@ from tests.test_batch_executor import (
     FULL_CFG,
     ML_CFG,
     _family_spec,
+    constant_ml_factory,
     synthetic_ml_factory,
 )
 
@@ -165,18 +166,29 @@ class TestHandOff:
 
     @pytest.mark.parametrize("hand_off_at", (0, HORIZON // 2))
     def test_trace_recording_lane(self, hand_off_at, monkeypatch, hand_off_starts):
-        # A trace-recording lane runs the scalar control phase inside
-        # the lockstep; it hands off beside the vector lanes.
+        # A trace-recording lane never joins the lockstep: it runs on the
+        # scalar loop from step 0, and the other lanes hand off as usual.
         episodes = enumerate_campaign(
             _family_spec("S4", FaultType.RELATIVE_DISTANCE, seed=11)
         )
         tasks = staggered(episodes, FULL_CFG, hand_off_at)
+        lockstep = len(tasks)
         tasks.append(
             EpisodeTask.make(
                 episodes[1], FULL_CFG, max_steps=HORIZON, record_trace=True
             )
         )
-        check_hand_off(tasks, hand_off_at, monkeypatch, hand_off_starts)
+        serial = SerialExecutor().run(tasks)
+        hand_off_starts.clear()
+        monkeypatch.setattr(
+            executor_module, "BREAK_EVEN_LANES", lockstep + (hand_off_at == 0)
+        )
+        batch = BatchExecutor().run(tasks)
+        first = 0 if hand_off_at == 0 else min(r.steps for r in serial[:lockstep])
+        handed_off = sum(r.steps > first for r in serial[:lockstep])
+        assert hand_off_starts == [0] + [first] * handed_off
+        assert lines(batch) == lines(serial)
+        assert batch == serial
 
     @pytest.mark.parametrize("hand_off_at", (0, 1, HORIZON // 2))
     def test_batch_parallel_executor(self, hand_off_at, monkeypatch):
@@ -217,6 +229,53 @@ class TestHandOff:
         calls = []
         BatchExecutor().run(tasks, progress=lambda d, t: calls.append((d, t)))
         assert calls == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestRefusedLanes:
+    def test_refused_lanes_run_scalar_from_step_0(
+        self, monkeypatch, third_party_family
+    ):
+        # One task list: two lockstep lanes, kept in lockstep to their
+        # last step, and one refused lane of each kind.  Each refused lane
+        # runs on the scalar loop from step 0; the bytes match serial.
+        starts = []
+        run_steps = executor_module.run_steps
+
+        def spy(platform, result, start=0, profile=None):
+            kind = (
+                "trace" if platform.trace is not None
+                else "ml" if platform.ml_controller is not None
+                else platform.spec.scenario_id
+            )
+            starts.append((kind, start))
+            return run_steps(platform, result, start, profile)
+
+        episodes = enumerate_campaign(
+            _family_spec("S4", FaultType.RELATIVE_DISTANCE, seed=11)
+        )
+        third_party = enumerate_campaign(
+            _family_spec(third_party_family, FaultType.RELATIVE_DISTANCE, seed=11)
+        )[0]
+        tasks = [
+            EpisodeTask.make(episodes[0], FULL_CFG, max_steps=HORIZON),
+            EpisodeTask.make(
+                episodes[1], FULL_CFG, max_steps=HORIZON, record_trace=True
+            ),
+            EpisodeTask.make(
+                episodes[1], ML_CFG, ml_factory=constant_ml_factory,
+                max_steps=HORIZON,
+            ),
+            EpisodeTask.make(third_party, FULL_CFG, max_steps=HORIZON),
+            EpisodeTask.make(episodes[1], FULL_CFG, max_steps=HORIZON),
+        ]
+        serial = SerialExecutor().run(tasks)
+        monkeypatch.setattr(executor_module, "run_steps", spy)
+        monkeypatch.setattr(executor_module, "BREAK_EVEN_LANES", 0)
+        batch = BatchExecutor().run(tasks)
+        assert starts == [("trace", 0), ("ml", 0), (third_party_family, 0)]
+        assert lines(batch) == lines(serial)
+        assert batch == serial
+        assert serial[3].attack_activated  # precondition: a live lane
 
 
 class TestMlLanesStay:

@@ -278,6 +278,29 @@ class TestUnsortedFsIteration:
         )
         assert [f.line for f in findings] == [2, 3]
 
+    def test_all_and_any_allowed(self):
+        # A truth test over every entry does not depend on their order.
+        findings = run_rule(
+            "unsorted-fs-iteration",
+            """\
+            import os
+            ok = all(n for n in os.listdir("cache"))
+            stale = any(n.endswith(".tmp") for n in os.listdir("cache"))
+            full = all(os.listdir("cache"))
+            """,
+        )
+        assert findings == []
+
+    def test_order_keeping_wrapper_still_flagged(self):
+        findings = run_rule(
+            "unsorted-fs-iteration",
+            """\
+            import os
+            names = list(n for n in os.listdir("cache"))
+            """,
+        )
+        assert [f.line for f in findings] == [2]
+
     def test_pragma_suppresses(self):
         findings = run_rule(
             "unsorted-fs-iteration",
