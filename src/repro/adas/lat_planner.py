@@ -48,11 +48,6 @@ class LatPlanner:
         """Clear the smoothing state (start of an episode)."""
         self._curvature = 0.0
 
-    @property
-    def tracked_curvature(self) -> float:
-        """The smoothed curvature currently being tracked [1/m]."""
-        return self._curvature
-
     def plan(self, desired_curvature: float, dt: float) -> float:
         """Compute the road-wheel steering command [rad].
 

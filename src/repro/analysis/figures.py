@@ -69,7 +69,6 @@ def _run_traced(
         spec,
         interventions or InterventionConfig(),
         record_trace=True,
-        trace_every=5,
         max_steps=max_steps,
     )
     result = platform.run()

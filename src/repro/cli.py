@@ -142,6 +142,7 @@ from repro.core.cache import (
     CampaignCache,
     cache_entries,
     campaign_digest,
+    default_cache,
     gc_cache,
     verify_cache,
     write_digest_sidecar,
@@ -1212,15 +1213,23 @@ def _run(args) -> int:
         return 0
 
     if args.command == "cache":
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-        if not cache_dir:
-            raise ValueError(
-                "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
-            )
         # Maintenance must never materialise the directory ('list' and
         # 'verify' are documented read-only); a missing directory is just
         # an empty cache.
-        cache = CampaignCache(cache_dir, create=False)
+        if args.cache_dir:
+            try:
+                cache = CampaignCache(args.cache_dir, create=False)
+            except NotADirectoryError as exc:
+                raise ValueError(
+                    f"--cache-dir must name a usable cache directory, got "
+                    f"{args.cache_dir!r} ({exc})"
+                ) from None
+        else:
+            cache = default_cache(create=False)
+        if cache is None:
+            raise ValueError(
+                "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
+            )
         if args.action == "list":
             entries = cache_entries(cache)
             if args.json:

@@ -254,10 +254,16 @@ class CampaignCache:
         create: set False for read-only consumers (status probes): the
             directory is left untouched and a missing one simply yields
             misses.  ``put`` requires the directory to exist.
+
+    Raises:
+        NotADirectoryError: ``root`` exists and is not a directory (read
+            as an empty cache, it would pass every check vacuously).
     """
 
     def __init__(self, root: PathLike, create: bool = True) -> None:
         self.root = str(root)
+        if os.path.exists(self.root) and not os.path.isdir(self.root):
+            raise NotADirectoryError(f"{self.root!r} exists and is not a directory")
         if create:
             os.makedirs(self.root, exist_ok=True)
 
@@ -384,8 +390,6 @@ def default_cache(create: bool = True) -> Optional[CampaignCache]:
     if not root:
         return None
     try:
-        if os.path.exists(root) and not os.path.isdir(root):
-            raise NotADirectoryError(f"{root!r} exists and is not a directory")
         return CampaignCache(root, create=create)
     except OSError as exc:
         raise ValueError(

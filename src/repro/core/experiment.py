@@ -112,12 +112,6 @@ class CampaignResult:
         """Aggregate over every episode."""
         return aggregate(self.results)
 
-    def by_scenario(self) -> Dict[str, AggregateStats]:
-        """Aggregate per scenario id (Table IV/V layout)."""
-        return {
-            sid: aggregate(rs) for sid, rs in group_by(self.results, "scenario_id").items()
-        }
-
     def by_fault_type(self) -> Dict[str, AggregateStats]:
         """Aggregate per fault type (Table VI layout)."""
         return {

@@ -104,8 +104,3 @@ class HazardMonitor:
             self.h1.mark(time)
         else:
             self.h2.mark(time)
-
-    @property
-    def any_hazard(self) -> bool:
-        """True if any hazard (H1 or H2) occurred."""
-        return self.h1.occurred or self.h2.occurred

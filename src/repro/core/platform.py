@@ -62,7 +62,8 @@ class MlController(Protocol):
 class EpisodeTrace:
     """Down-sampled time series for figures (Fig. 5 / Fig. 6).
 
-    All lists share the same length; one entry per ``trace_every`` steps.
+    All lists share the same length; one entry per
+    :attr:`SimulationPlatform.TRACE_EVERY` steps.
     """
 
     time: List[float] = field(default_factory=list)
@@ -90,9 +91,11 @@ class SimulationPlatform:
         dt: control/physics period [s] (paper: ~10 ms).
         max_steps: episode length (paper: 10,000).
         record_trace: keep a down-sampled :class:`EpisodeTrace`.
-        trace_every: trace decimation factor.
         perception_params: optional perception overrides (ablations).
     """
+
+    #: Trace decimation factor: the trace keeps every 5th step.
+    TRACE_EVERY = 5
 
     def __init__(
         self,
@@ -102,7 +105,6 @@ class SimulationPlatform:
         dt: float = 0.01,
         max_steps: int = 10_000,
         record_trace: bool = False,
-        trace_every: int = 5,
         perception_params: Optional[PerceptionParams] = None,
     ) -> None:
         if interventions.ml and ml_controller is None:
@@ -116,7 +118,6 @@ class SimulationPlatform:
         self.dt = dt
         self.max_steps = max_steps
         self.record_trace = record_trace
-        self.trace_every = max(1, trace_every)
 
         self.streams = RngStreams(spec.seed)
         # Episode setup goes through the scenario-family registry: the
@@ -198,8 +199,9 @@ class SimulationPlatform:
 
     def _after_dynamics(self, step_index: int, result: EpisodeResult) -> bool:
         """Post-physics bookkeeping; returns True when the episode ends."""
-        aebs_state = self._post_step(step_index, result)
-        self._accumulate(result, aebs_state)
+        if self.trace is not None and step_index % self.TRACE_EVERY == 0:
+            self._record_trace(*self._trace_frame)
+        self._accumulate(result)
 
         lead = self.sensor.lead()
         if (
@@ -243,7 +245,10 @@ class SimulationPlatform:
     # ------------------------------------------------------------------ #
 
     def _control_phase(self, step_index: int, result: EpisodeResult) -> None:
-        """Pipeline steps 1-7: sense, inject, decide, actuate (pre-physics)."""
+        """Pipeline steps 1-7: sense, inject, decide, actuate (pre-physics).
+
+        Records this tick's interventions, as ``BatchControlStack.step_control`` does.
+        """
         dt = self.dt
         world = self.world
         ego = world.ego
@@ -305,14 +310,6 @@ class SimulationPlatform:
         ego.apply_controls(
             applied_accel, final.steer, driver_steering=final.driver_steering
         )
-        # Staged for _post_step, after the physics.
-        self._ctrl = (now, perceived, aebs_state, driver_action, ml_recovery, final)
-
-    def _post_step(self, step_index: int, result: EpisodeResult) -> AebsState:
-        """Post-physics bookkeeping for the step staged by ``_control_phase``."""
-        now, perceived, aebs_state, driver_action, ml_recovery, final = self._ctrl
-        dt = self.dt
-
         self._prev_exec = AdasCommand(final.accel, final.steer)
         result.aeb.record(aebs_state.phase > 0, now, dt)
         result.fcw.record(aebs_state.fcw, now, dt)
@@ -320,10 +317,9 @@ class SimulationPlatform:
             result.driver_brake.record(driver_action.brake_active, now, dt)
             result.driver_steer.record(driver_action.steer_active, now, dt)
         result.ml_recovery.record(ml_recovery, now, dt)
-
-        if self.trace is not None and step_index % self.trace_every == 0:
-            self._record_trace(perceived, aebs_state, driver_action)
-        return aebs_state
+        # The trace samples the post-physics world, so its frame waits for
+        # _after_dynamics.
+        self._trace_frame = (perceived, aebs_state, driver_action)
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -392,7 +388,7 @@ class SimulationPlatform:
             self._prev_exec.steer,
         ]
 
-    def _accumulate(self, result: EpisodeResult, aebs_state: AebsState) -> None:
+    def _accumulate(self, result: EpisodeResult) -> None:
         ego = self.world.ego
         lead = self.sensor.lead()
         if lead is not None and lead.relative_speed > 0.3:

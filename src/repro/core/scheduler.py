@@ -765,7 +765,6 @@ class SubprocessFleetBackend(WorkerBackend):
         workers: concurrent worker processes (default: up to 2, bounded
             by the cores this process may use).
         python: interpreter for the worker command (default: this one).
-        worker_args: extra arguments appended to every worker command.
         max_retries: relaunch budget per shard after the first attempt.
         poll_interval: seconds between liveness polls of the fleet
             (must be positive — zero would busy-spin the poll loop).
@@ -780,7 +779,6 @@ class SubprocessFleetBackend(WorkerBackend):
         self,
         workers: Optional[int] = None,
         python: Optional[str] = None,
-        worker_args: Sequence[str] = (),
         max_retries: int = 2,
         poll_interval: float = 0.05,
         execution: ExecutionPolicy = ExecutionPolicy(),
@@ -797,7 +795,6 @@ class SubprocessFleetBackend(WorkerBackend):
             )
         self.workers = workers
         self.python = python
-        self.worker_args = tuple(worker_args)
         self.max_retries = max_retries
         self.poll_interval = poll_interval
         self.execution = execution
@@ -815,7 +812,7 @@ class SubprocessFleetBackend(WorkerBackend):
             "--spec",
             spec_path,
         ]
-        return command + self.execution.worker_args() + list(self.worker_args)
+        return command + self.execution.worker_args()
 
     def run(
         self,

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.metrics import PathLike
 from repro.lint.findings import Finding
@@ -124,10 +124,3 @@ def apply_baseline(
             new.append(finding)
     return new, grandfathered
 
-
-def baseline_summary(baseline: Counter) -> Dict[str, int]:
-    """Counts for reporting: total entries and distinct fingerprints."""
-    return {
-        "entries": sum(baseline.values()),
-        "distinct": len(baseline),
-    }

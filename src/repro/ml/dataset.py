@@ -80,7 +80,6 @@ def collect_fault_free_traces(
                     feats.append(platform._ml_features())
                     platform._control_phase(step, result)
                     platform.world.step(platform.dt)
-                    platform._post_step(step, result)
                     cmd = platform.controls.last_command
                     targets.append([cmd.accel, cmd.steer])
                     if platform.hazards.update(platform.world) is not None:
@@ -150,12 +149,3 @@ class TraceDataset:
         for start in range(0, len(self), batch_size):
             idx = order[start : start + batch_size]
             yield self.normalise_x(self.x[idx]), self.normalise_y(self.y[idx])
-
-    def scaler_arrays(self) -> dict:
-        """Scaler state for persistence."""
-        return {
-            "feature_mean": self.feature_mean,
-            "feature_std": self.feature_std,
-            "target_mean": self.target_mean,
-            "target_std": self.target_std,
-        }

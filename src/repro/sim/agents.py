@@ -11,8 +11,7 @@ accelerates / decelerates / stops / cuts in when the ego closes in).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Tuple, Type
+from typing import Dict, Optional, Protocol
 
 from repro.sim.vehicle import EgoVehicle, KinematicActor
 from repro.utils.mathx import clamp
@@ -178,47 +177,26 @@ class AgentBinding:
 
 
 # --------------------------------------------------------------------- #
-# Behaviour registry (the ``ParamSpec``-shaped schema idiom from
-# ``sim/families.py``, applied to behaviours)
+# Behaviour registry
 # --------------------------------------------------------------------- #
 
-#: The closed built-in behaviour set, by kind name.  Each entry maps the
-#: kind to its class and the ordered constructor-parameter names, which is
-#: what lets a behaviour round-trip through :class:`BehaviorSpec` (and
-#: lets the batch engine freeze the parameters into arrays).  Third-party
+#: The closed built-in behaviour set: kind name -> class.  The batch
+#: engine freezes each registered kind's constructor attributes into
+#: arrays (:class:`repro.sim.batch_agents.BehaviorBatch`).  Third-party
 #: behaviours are simply absent: :func:`behavior_kind` returns ``None``
 #: for them, and the batch engine runs their lanes on the scalar loop
 #: (:func:`repro.sim.batch_agents.behavior_refusal`).
-BEHAVIOR_REGISTRY: Dict[str, Tuple[Type, Tuple[str, ...]]] = {
-    "cruise": (CruiseBehavior, ("speed", "gain")),
-    "speed_change": (
-        SpeedChangeBehavior,
-        ("initial_speed", "final_speed", "trigger_gap", "rate"),
-    ),
-    "sudden_stop": (SuddenStopBehavior, ("speed", "trigger_gap", "decel")),
-    "cut_in": (CutInBehavior, ("speed", "trigger_gap", "target_d")),
-    "lane_change_away": (
-        LaneChangeAwayBehavior,
-        ("speed", "trigger_gap", "target_d"),
-    ),
+BEHAVIOR_REGISTRY: Dict[str, type] = {
+    "cruise": CruiseBehavior,
+    "speed_change": SpeedChangeBehavior,
+    "sudden_stop": SuddenStopBehavior,
+    "cut_in": CutInBehavior,
+    "lane_change_away": LaneChangeAwayBehavior,
 }
 
 _KIND_BY_TYPE: Dict[type, str] = {
-    cls: kind for kind, (cls, _) in BEHAVIOR_REGISTRY.items()
+    cls: kind for kind, cls in BEHAVIOR_REGISTRY.items()
 }
-
-
-@dataclass(frozen=True)
-class BehaviorSpec:
-    """Declarative form of a registered behaviour: kind + parameters.
-
-    Only construction parameters are captured — trigger latches and other
-    episode state stay on the live object.  ``params`` is an ordered
-    ``(name, value)`` tuple so specs are hashable and digest-stable.
-    """
-
-    kind: str
-    params: Tuple[Tuple[str, float], ...]
 
 
 def behavior_kind(behavior: object) -> Optional[str]:
@@ -228,24 +206,3 @@ def behavior_kind(behavior: object) -> Optional[str]:
     arbitrary semantics, so it must not match its base class's fast path.
     """
     return _KIND_BY_TYPE.get(type(behavior))
-
-
-def behavior_spec(behavior: object) -> Optional[BehaviorSpec]:
-    """Extract the :class:`BehaviorSpec` of a registered behaviour."""
-    kind = behavior_kind(behavior)
-    if kind is None:
-        return None
-    _, names = BEHAVIOR_REGISTRY[kind]
-    return BehaviorSpec(
-        kind=kind, params=tuple((name, getattr(behavior, name)) for name in names)
-    )
-
-
-def build_behavior(spec: BehaviorSpec) -> Behavior:
-    """Construct a fresh behaviour from its spec.
-
-    Raises:
-        KeyError: on an unregistered kind.
-    """
-    cls, _ = BEHAVIOR_REGISTRY[spec.kind]
-    return cls(**dict(spec.params))

@@ -275,11 +275,12 @@ class BatchControlStack:
             ]
         )
 
-        # Intervention-activity recorders (the vectorized `_post_step`):
-        # per-channel state blocks, flushed into the EpisodeResult at
-        # retire.  Zero state matches a fresh InterventionActivity, and
-        # channels a lane never drives (e.g. driver_* without a driver
-        # model) stay all-False — state-identical to the scalar path.
+        # Intervention-activity recorders (the vectorized recording at the
+        # end of `_control_phase`): per-channel state blocks, flushed into
+        # the EpisodeResult at retire.  Zero state matches a fresh
+        # InterventionActivity, and channels a lane never drives (e.g.
+        # driver_* without a driver model) stay all-False — state-identical
+        # to the scalar path.
         def activity():
             return SimpleNamespace(
                 trig=np.zeros(n, dtype=bool),
@@ -363,7 +364,7 @@ class BatchControlStack:
         self._last_adas_steer = np.zeros(n)
         # Last *executed* command per lane (`_prev_exec` parity; the ML
         # feature vector reads it, and the scalar path refreshes it every
-        # `_post_step`).
+        # `_control_phase`).
         self._prev_accel = arr(lambda p: p._prev_exec.accel)
         self._prev_steer = arr(lambda p: p._prev_exec.steer)
 
@@ -830,7 +831,7 @@ class BatchControlStack:
         dyn.driver_steering[idx] = m_drv_steer
 
         # Intervention recorders take this tick's outputs, exactly the
-        # values the scalar `_post_step` records.
+        # values the scalar `_control_phase` records.
         self._record(self._rec_aeb, idx, aeb_braking, now, dt)
         self._record(self._rec_fcw, idx, fcw, now, dt)
         self._record(self._rec_drv_brake, idx, drv_brake, now, dt)
@@ -944,7 +945,7 @@ class BatchControlStack:
 
         The command latches are neither written by the lockstep nor
         restored here: ``ego._accel_cmd``, ``ego._steer_cmd``,
-        ``ego._driver_steering``, ``platform._ctrl`` and
+        ``ego._driver_steering``, ``platform._trace_frame`` and
         ``platform._last_commanded_brake``.  The next scalar
         ``_control_phase`` rewrites each of them before anything reads it.
         """

@@ -69,11 +69,6 @@ class Powertrain:
         """Release brakes (start of an episode)."""
         self._brake_decel = 0.0
 
-    @property
-    def brake_deceleration(self) -> float:
-        """Currently realised brake deceleration [m/s^2] (>= 0)."""
-        return self._brake_decel
-
     def max_engine_accel(self, speed: float) -> float:
         """Maximum engine acceleration available at ``speed`` [m/s^2]."""
         p = self.params

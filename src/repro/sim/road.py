@@ -6,14 +6,12 @@ it, positive to the left.  Lane ``i`` is centred at ``d = i * lane_width``
 (so lane 1 is the adjacent lane to the left used by cut-in traffic).
 
 Working directly in Frenet coordinates keeps the 100 Hz loop cheap and
-exact: vehicles never need to be projected back onto the road.  World
-(x, y) poses are only computed lazily for figures.
+exact: vehicles never need to be projected back onto the road.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -71,13 +69,6 @@ class Road:
             self._starts.append(total)
             total += seg.length
         self.length = total
-        # Precompute world pose (x, y, heading) at each segment start for
-        # lazy world-frame conversion.
-        self._poses: List[Tuple[float, float, float]] = []
-        x, y, heading = 0.0, 0.0, 0.0
-        for seg in self.segments:
-            self._poses.append((x, y, heading))
-            x, y, heading = _advance(x, y, heading, seg.length, seg.curvature)
 
     def segment_index_at(self, s: float) -> int:
         """Index of the segment containing arc length ``s`` (clamped)."""
@@ -134,45 +125,9 @@ class Road:
         """``(right, left)`` lateral offsets of the road edges."""
         return -0.5 * self.lane_width, (self.num_lanes - 0.5) * self.lane_width
 
-    def world_pose(self, s: float, d: float) -> Tuple[float, float, float]:
-        """World-frame pose ``(x, y, heading)`` of Frenet point ``(s, d)``.
-
-        Only used for figures/exports; the simulation itself never leaves
-        Frenet coordinates.
-        """
-        idx = self.segment_index_at(s)
-        seg = self.segments[idx]
-        x0, y0, h0 = self._poses[idx]
-        ds = min(max(s - self._starts[idx], 0.0), seg.length)
-        x, y, heading = _advance(x0, y0, h0, ds, seg.curvature)
-        # Offset to the left of the tangent by d.
-        return (
-            x - d * math.sin(heading),
-            y + d * math.cos(heading),
-            heading,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Road(length={self.length:.0f}m, segments={len(self.segments)}, "
             f"lanes={self.num_lanes})"
         )
 
-
-def _advance(
-    x: float, y: float, heading: float, length: float, curvature: float
-) -> Tuple[float, float, float]:
-    """Advance a pose ``length`` metres along an arc of given curvature."""
-    if abs(curvature) < 1e-12:
-        return (
-            x + length * math.cos(heading),
-            y + length * math.sin(heading),
-            heading,
-        )
-    radius = 1.0 / curvature
-    new_heading = heading + length * curvature
-    return (
-        x + radius * (math.sin(new_heading) - math.sin(heading)),
-        y - radius * (math.cos(new_heading) - math.cos(heading)),
-        new_heading,
-    )

@@ -44,11 +44,6 @@ class FrictionCondition:
         """Maximum braking deceleration [m/s^2] on this surface."""
         return self.mu * G
 
-    @property
-    def max_lateral_acceleration(self) -> float:
-        """Maximum cornering acceleration [m/s^2] on this surface."""
-        return self.mu * G
-
 
 #: The four conditions evaluated in the paper's Table VIII, keyed by the
 #: labels used in that table.

@@ -1,38 +1,22 @@
-"""Shared utilities: units, math helpers, RNG streams, history buffers.
+"""Shared utilities: units, math helpers, RNG streams.
 
 These modules are dependency-free (standard library + ``math`` only) so that
 every other subpackage can import them without cycles.
 """
 
-from repro.utils.units import (
-    G,
-    KMH_TO_MS,
-    MPH_TO_MS,
-    kmh_to_ms,
-    mph_to_ms,
-    ms_to_kmh,
-    ms_to_mph,
-)
+from repro.utils.units import G, MPH_TO_MS, mph_to_ms
 from repro.utils.canonical import canonical_scalar
-from repro.utils.mathx import clamp, interp1d, rate_limit, sign, wrap_angle
+from repro.utils.mathx import clamp, interp1d, rate_limit
 from repro.utils.rng import RngStreams, derive_seed
-from repro.utils.buffers import RingBuffer
 
 __all__ = [
     "G",
-    "KMH_TO_MS",
     "MPH_TO_MS",
-    "kmh_to_ms",
     "mph_to_ms",
-    "ms_to_kmh",
-    "ms_to_mph",
     "clamp",
     "interp1d",
     "rate_limit",
-    "sign",
-    "wrap_angle",
     "canonical_scalar",
     "RngStreams",
     "derive_seed",
-    "RingBuffer",
 ]

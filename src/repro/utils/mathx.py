@@ -7,7 +7,6 @@ call overhead dominates actual arithmetic.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -24,23 +23,6 @@ def clamp(value: float, lo: float, hi: float) -> float:
     if value > hi:
         return hi
     return value
-
-
-def sign(value: float) -> float:
-    """Return -1.0, 0.0 or +1.0 matching the sign of ``value``."""
-    if value > 0.0:
-        return 1.0
-    if value < 0.0:
-        return -1.0
-    return 0.0
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle in radians into ``(-pi, pi]``."""
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
 
 
 def rate_limit(current: float, target: float, max_delta: float) -> float:
@@ -86,13 +68,3 @@ def interp1d(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
             return y0 + t * (y1 - y0)
     return ys[-1]
 
-
-def smoothstep(edge0: float, edge1: float, x: float) -> float:
-    """Hermite smoothstep between ``edge0`` and ``edge1``.
-
-    Used for soft activations (e.g. lateral moves of cut-in agents).
-    """
-    if edge0 == edge1:
-        return 0.0 if x < edge0 else 1.0
-    t = clamp((x - edge0) / (edge1 - edge0), 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)

@@ -2,12 +2,10 @@
 
 The library uses SI units internally everywhere: metres, seconds, m/s,
 radians, and 1/m (curvature).  The paper quotes speeds in mph (NHTSA
-scenarios) and angles in degrees, so conversion helpers live here.
+scenarios), so the mph conversion lives here.
 """
 
 from __future__ import annotations
-
-import math
 
 #: Gravitational acceleration [m/s^2].  The paper's full-braking TTC
 #: threshold is ``t_fb = V / 9.8`` (Eq. 4), i.e. full braking is assumed to
@@ -17,35 +15,8 @@ G = 9.8
 #: Multiplicative factor converting miles-per-hour to metres-per-second.
 MPH_TO_MS = 0.44704
 
-#: Multiplicative factor converting km/h to m/s.
-KMH_TO_MS = 1.0 / 3.6
-
 
 def mph_to_ms(mph: float) -> float:
     """Convert a speed in miles per hour to metres per second."""
     return mph * MPH_TO_MS
 
-
-def ms_to_mph(ms: float) -> float:
-    """Convert a speed in metres per second to miles per hour."""
-    return ms / MPH_TO_MS
-
-
-def kmh_to_ms(kmh: float) -> float:
-    """Convert a speed in kilometres per hour to metres per second."""
-    return kmh * KMH_TO_MS
-
-
-def ms_to_kmh(ms: float) -> float:
-    """Convert a speed in metres per second to kilometres per hour."""
-    return ms * 3.6
-
-
-def deg_to_rad(deg: float) -> float:
-    """Convert degrees to radians."""
-    return deg * math.pi / 180.0
-
-
-def rad_to_deg(rad: float) -> float:
-    """Convert radians to degrees."""
-    return rad * 180.0 / math.pi

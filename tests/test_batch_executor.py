@@ -499,9 +499,12 @@ class TestBatchMlLaneEquivalence:
         assert stack.ml_set == {0}
         assert stack.ml is not None
 
-    def test_non_stock_controller_falls_back_to_scalar_and_matches(self):
-        # A subclass may override step(): the batch path must refuse to
-        # vectorize it (scalar fallback) and still match serial.
+    def test_non_stock_controller_refused_runs_scalar_and_matches(self):
+        # A subclass may override step(): lockstep_refusal refuses its
+        # lanes, so the batch executor runs them on the scalar loop from
+        # step 0, and they still match serial.
+        from repro.sim.batch_control import lockstep_refusal
+
         class TracingController(MitigationController):
             pass
 
@@ -511,6 +514,10 @@ class TestBatchMlLaneEquivalence:
             return TracingController(baseline)
 
         spec = _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=13)
+        lane = _platform(
+            enumerate_campaign(spec)[0], ML_CFG, ml_factory=custom_factory
+        )
+        assert lockstep_refusal(lane) is not None
         # The nested factory is deliberate: both backends run in-process
         # here, and hoisting it would lose the subclass-under-test.
         serial = run_campaign(
@@ -531,12 +538,16 @@ class TestBatchMlLaneEquivalence:
         ],
         ids=["duck-typed-baseline", "lstm-subclass"],
     )
-    def test_non_stock_baseline_runs_scalar_and_matches(self, factory):
+    def test_non_stock_baseline_refused_runs_scalar_and_matches(self, factory):
         # Serial runs any baseline with a predict method.  A duck-typed
-        # one (no feature_mean) and a TrainedBaseline over a subclass
-        # must leave the vector set and run scalar under batch and
-        # batch x jobs alike.
+        # one (no feature_mean) and a TrainedBaseline over a subclass are
+        # refused by lockstep_refusal, so their lanes run on the scalar
+        # loop from step 0 under batch and batch x jobs alike.
+        from repro.sim.batch_control import lockstep_refusal
+
         spec = _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=13)
+        lane = _platform(enumerate_campaign(spec)[0], ML_CFG, ml_factory=factory)
+        assert lockstep_refusal(lane) is not None
         serial = run_campaign(
             spec, ML_CFG, ml_factory=factory, executor="serial",
             cache=False, max_steps=300,

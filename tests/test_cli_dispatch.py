@@ -368,6 +368,30 @@ class TestCacheCommand:
         assert main(["cache", "list"]) == 0
         assert "1 entries" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "action",
+        [["list"], ["verify"], ["gc", "--keep-days", "0"]],
+        ids=["list", "verify", "gc"],
+    )
+    @pytest.mark.parametrize("source", ["--cache-dir", "REPRO_CACHE_DIR"])
+    def test_refuses_a_path_that_is_not_a_directory(
+        self, action, source, tmp_path, monkeypatch, capsys
+    ):
+        # Read as an empty cache, a regular file would verify as a false
+        # all-clear ("0 ok, 0 corrupt", exit 0).
+        bogus = tmp_path / "a-file"
+        bogus.write_text("not a directory")
+        argv = ["cache", *action]
+        if source == "--cache-dir":
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+            argv += ["--cache-dir", str(bogus)]
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert source in err and str(bogus) in err
+        assert bogus.read_text() == "not a directory"
+
 
 class TestEnvironmentFailFast:
     def test_bad_cache_dir_env_names_variable_from_grid_command(

@@ -1,5 +1,7 @@
 """Integration tests: hazards, metrics, the closed-loop platform."""
 
+import math
+
 import pytest
 
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
@@ -188,13 +190,29 @@ class TestDeterminism:
 class TestTrace:
     def test_trace_recorded_when_requested(self):
         platform = SimulationPlatform(
-            episode("S1"), InterventionConfig(), record_trace=True, trace_every=10,
-            max_steps=1000,
+            episode("S1"), InterventionConfig(), record_trace=True, max_steps=1000,
         )
         platform.run()
         assert platform.trace is not None
-        assert len(platform.trace.time) == 100
+        assert len(platform.trace.time) == 1000 // SimulationPlatform.TRACE_EVERY
         assert len(platform.trace.ego_speed) == len(platform.trace.time)
+
+    def test_trace_does_not_change_result(self):
+        # AEB, FCW and driver braking all trigger before the crash, so every
+        # intervention recorder is exercised with and without the trace.
+        spec = episode("S1", fault=FaultType.RELATIVE_DISTANCE, seed=3)
+        config = InterventionConfig(
+            driver=True, safety_check=True, aeb=AebsConfig.COMPROMISED
+        )
+        plain = SimulationPlatform(spec, config).run()
+        traced = SimulationPlatform(spec, config, record_trace=True)
+        result = traced.run()
+        assert plain.aeb.triggered and plain.fcw.triggered
+        assert plain.driver_brake.triggered
+        assert result.to_dict() == plain.to_dict()
+        assert len(traced.trace.time) == math.ceil(
+            result.steps / SimulationPlatform.TRACE_EVERY
+        )
 
     def test_no_trace_by_default(self):
         platform = SimulationPlatform(episode("S1"), InterventionConfig(), max_steps=100)

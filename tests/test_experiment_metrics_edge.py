@@ -48,7 +48,7 @@ class TestHazardMonitor:
         monitor = HazardMonitor()
         world.step(0.01)
         monitor.update(world)
-        assert not monitor.any_hazard
+        assert not monitor.h1.occurred and not monitor.h2.occurred
 
     def test_a2_implies_h2_latched(self):
         world = self.make_world()

@@ -1,10 +1,8 @@
 """Unit tests for repro.utils.mathx."""
 
-import math
-
 import pytest
 
-from repro.utils.mathx import clamp, interp1d, rate_limit, sign, smoothstep, wrap_angle
+from repro.utils.mathx import clamp, interp1d, rate_limit
 
 
 class TestClamp:
@@ -23,31 +21,6 @@ class TestClamp:
     def test_empty_interval_raises(self):
         with pytest.raises(ValueError):
             clamp(0.0, 1.0, -1.0)
-
-
-class TestSign:
-    def test_positive(self):
-        assert sign(3.2) == 1.0
-
-    def test_negative(self):
-        assert sign(-0.001) == -1.0
-
-    def test_zero(self):
-        assert sign(0.0) == 0.0
-
-
-class TestWrapAngle:
-    def test_identity_in_range(self):
-        assert wrap_angle(1.0) == pytest.approx(1.0)
-
-    def test_wraps_over_pi(self):
-        assert wrap_angle(math.pi + 0.5) == pytest.approx(-math.pi + 0.5)
-
-    def test_wraps_below_minus_pi(self):
-        assert wrap_angle(-math.pi - 0.5) == pytest.approx(math.pi - 0.5)
-
-    def test_large_multiple(self):
-        assert wrap_angle(7 * math.pi) == pytest.approx(math.pi)
 
 
 class TestRateLimit:
@@ -86,22 +59,3 @@ class TestInterp1d:
         with pytest.raises(ValueError):
             interp1d(1.0, [], [])
 
-
-class TestSmoothstep:
-    def test_below_edge(self):
-        assert smoothstep(0.0, 1.0, -1.0) == 0.0
-
-    def test_above_edge(self):
-        assert smoothstep(0.0, 1.0, 2.0) == 1.0
-
-    def test_midpoint(self):
-        assert smoothstep(0.0, 1.0, 0.5) == pytest.approx(0.5)
-
-    def test_monotone(self):
-        xs = [i / 20 for i in range(21)]
-        ys = [smoothstep(0.0, 1.0, x) for x in xs]
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
-
-    def test_equal_edges(self):
-        assert smoothstep(1.0, 1.0, 0.5) == 0.0
-        assert smoothstep(1.0, 1.0, 1.5) == 1.0

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +11,9 @@ from repro.sim.powertrain import Powertrain
 from repro.sim.road import Road, RoadSegment
 from repro.sim.track import build_straight_map
 from repro.sim.vehicle import EgoVehicle
-from repro.utils.mathx import clamp, interp1d, rate_limit, wrap_angle
+from repro.utils.mathx import clamp, interp1d, rate_limit
 from repro.utils.rng import derive_seed
-from repro.utils.units import G, mph_to_ms, ms_to_mph
+from repro.utils.units import G
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 speed = st.floats(min_value=0.0, max_value=45.0)
@@ -26,12 +24,6 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 def test_clamp_always_within_bounds(x, a, b):
     lo, hi = min(a, b), max(a, b)
     assert lo <= clamp(x, lo, hi) <= hi
-
-
-@given(finite)
-def test_wrap_angle_range(angle):
-    wrapped = wrap_angle(float(angle))
-    assert -math.pi < wrapped <= math.pi + 1e-9
 
 
 physical = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -48,11 +40,6 @@ def test_interp1d_bounded_by_knots(x):
     ys = [1.0, 5.0, 2.0]
     out = interp1d(float(x), [0.0, 10.0, 20.0], ys)
     assert min(ys) <= out <= max(ys)
-
-
-@given(st.floats(min_value=0.0, max_value=200.0))
-def test_mph_round_trip_property(v):
-    assert abs(ms_to_mph(mph_to_ms(float(v))) - v) < 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.text(max_size=20))

@@ -1,8 +1,5 @@
-"""Unit tests for repro.utils.rng and repro.utils.buffers."""
+"""Unit tests for repro.utils.rng."""
 
-import pytest
-
-from repro.utils.buffers import RingBuffer
 from repro.utils.rng import RngStreams, derive_seed
 
 
@@ -47,64 +44,3 @@ class TestRngStreams:
         assert (a == b).all()
         assert not (a == c).all()
 
-
-class TestRingBuffer:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-    def test_append_and_latest(self):
-        buf = RingBuffer(3)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            buf.append(v)
-        assert buf.latest() == [2.0, 3.0, 4.0]
-
-    def test_latest_subset(self):
-        buf = RingBuffer(5)
-        for v in range(5):
-            buf.append(float(v))
-        assert buf.latest(2) == [3.0, 4.0]
-
-    def test_latest_negative_raises(self):
-        buf = RingBuffer(2)
-        buf.append(1.0)
-        with pytest.raises(ValueError):
-            buf.latest(-1)
-
-    def test_filled_flag(self):
-        buf = RingBuffer(2)
-        assert not buf.filled
-        buf.append(1.0)
-        assert not buf.filled
-        buf.append(2.0)
-        assert buf.filled
-
-    def test_fill_constructor(self):
-        buf = RingBuffer(4, fill=0.5)
-        assert buf.filled
-        assert buf.latest() == [0.5] * 4
-
-    def test_last(self):
-        buf = RingBuffer(3)
-        buf.append(1.0)
-        buf.append(2.0)
-        assert buf.last() == 2.0
-        buf.append(3.0)
-        buf.append(4.0)  # wraps
-        assert buf.last() == 4.0
-
-    def test_last_empty_raises(self):
-        with pytest.raises(IndexError):
-            RingBuffer(3).last()
-
-    def test_clear(self):
-        buf = RingBuffer(2, fill=1.0)
-        buf.clear()
-        assert len(buf) == 0
-        assert not buf.filled
-
-    def test_iteration_order(self):
-        buf = RingBuffer(3)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            buf.append(v)
-        assert list(buf) == [3.0, 4.0, 5.0]

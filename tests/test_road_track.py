@@ -1,10 +1,8 @@
 """Unit tests for repro.sim.road and repro.sim.track."""
 
-import math
-
 import pytest
 
-from repro.sim.road import Road, RoadSegment, _advance
+from repro.sim.road import Road, RoadSegment
 from repro.sim.track import build_highway_map, build_straight_map
 
 
@@ -73,24 +71,6 @@ class TestRoadGeometry:
         # clamped beyond the outermost lanes
         assert road.nearest_lane(10.0) == 1
         assert road.nearest_lane(-10.0) == 0
-
-    def test_world_pose_straight(self):
-        road = Road([RoadSegment(100.0, 0.0)])
-        x, y, heading = road.world_pose(50.0, 0.0)
-        assert (x, y, heading) == pytest.approx((50.0, 0.0, 0.0))
-
-    def test_world_pose_lateral_offset(self):
-        road = Road([RoadSegment(100.0, 0.0)])
-        x, y, heading = road.world_pose(10.0, 2.0)
-        assert y == pytest.approx(2.0)
-
-    def test_advance_full_circle(self):
-        # advancing a full circle returns to the start
-        radius = 100.0
-        x, y, h = _advance(0.0, 0.0, 0.0, 2 * math.pi * radius, 1.0 / radius)
-        assert x == pytest.approx(0.0, abs=1e-6)
-        assert y == pytest.approx(0.0, abs=1e-6)
-        assert h == pytest.approx(2 * math.pi)
 
 
 class TestMaps:

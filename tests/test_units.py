@@ -1,28 +1,13 @@
 """Unit tests for repro.utils.units."""
 
-import math
-
 import pytest
 
-from repro.utils.units import (
-    G,
-    MPH_TO_MS,
-    deg_to_rad,
-    kmh_to_ms,
-    mph_to_ms,
-    ms_to_kmh,
-    ms_to_mph,
-    rad_to_deg,
-)
+from repro.utils.units import G, MPH_TO_MS, mph_to_ms
 
 
 def test_g_matches_paper_full_brake_divisor():
     # Eq. 4 uses t_fb = V / 9.8, i.e. full braking decelerates at G.
     assert G == 9.8
-
-
-def test_mph_round_trip():
-    assert ms_to_mph(mph_to_ms(50.0)) == pytest.approx(50.0)
 
 
 def test_fifty_mph_value():
@@ -33,21 +18,6 @@ def test_thirty_mph_value():
     assert mph_to_ms(30.0) == pytest.approx(13.4112, abs=1e-3)
 
 
-def test_kmh_round_trip():
-    assert ms_to_kmh(kmh_to_ms(100.0)) == pytest.approx(100.0)
-
-
-def test_kmh_definition():
-    assert kmh_to_ms(36.0) == pytest.approx(10.0)
-
-
 def test_mph_constant_consistency():
     assert mph_to_ms(1.0) == pytest.approx(MPH_TO_MS)
 
-
-def test_deg_rad_round_trip():
-    assert rad_to_deg(deg_to_rad(37.5)) == pytest.approx(37.5)
-
-
-def test_deg_to_rad_right_angle():
-    assert deg_to_rad(90.0) == pytest.approx(math.pi / 2)
