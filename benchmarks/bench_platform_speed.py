@@ -17,8 +17,6 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec
 from repro.attacks.fi import FaultType
 from repro.core.executor import (

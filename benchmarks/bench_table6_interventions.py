@@ -21,7 +21,6 @@ Paper shapes asserted:
 
 import os
 
-import pytest
 from _bench_utils import repetitions, run_once
 
 from repro import CampaignSpec, InterventionConfig, run_campaign

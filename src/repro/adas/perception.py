@@ -27,7 +27,6 @@ results depend on them:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np

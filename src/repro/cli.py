@@ -1110,9 +1110,6 @@ def _run(args) -> int:
                 if shard
                 else "campaign.jsonl"
             )
-        platform_kwargs = {}
-        if args.max_steps is not None:
-            platform_kwargs["max_steps"] = args.max_steps
         cache = CampaignCache(args.cache_dir) if args.cache_dir else None
 
         def progress(done, total):
@@ -1133,12 +1130,12 @@ def _run(args) -> int:
                 cache=cache,
                 progress=progress if episodes else None,
                 log=lambda line: print(f"  {line}", file=sys.stderr),
+                max_steps=args.max_steps,
                 **backend_kwargs,
-                **platform_kwargs,
             )
             campaign.save(output)
             write_digest_sidecar(
-                output, campaign_digest(episodes, cfg, **platform_kwargs)
+                output, campaign_digest(episodes, cfg, max_steps=args.max_steps)
             )
             print(f"wrote {len(campaign.results)} episodes -> {output}")
             return 0
@@ -1156,7 +1153,7 @@ def _run(args) -> int:
             cache=cache,
             resume_path=output if args.resume else None,
             progress=progress if episodes else None,
-            **platform_kwargs,
+            max_steps=args.max_steps,
         )
         if not args.resume:
             campaign.save(output)
@@ -1164,7 +1161,7 @@ def _run(args) -> int:
             # --resume with different inputs (e.g. another --max-steps) is
             # refused instead of absorbing mismatched episodes.
             write_digest_sidecar(
-                output, campaign_digest(episodes, cfg, **platform_kwargs)
+                output, campaign_digest(episodes, cfg, max_steps=args.max_steps)
             )
         print(f"wrote {len(campaign.results)} episodes -> {output}")
         if profile is not None:
@@ -1203,7 +1200,7 @@ def _run(args) -> int:
             # off for this plan, so the worker must not fall back to its
             # own REPRO_CACHE_DIR environment.
             cache=CampaignCache(job.cache_dir) if job.cache_dir else False,
-            **job.platform_kwargs,
+            max_steps=job.max_steps,
         )
         print(
             f"worker: shard {job.shard}: wrote {len(campaign.results)} "

@@ -6,7 +6,7 @@ the :class:`~repro.attacks.campaign.CampaignSpec` and every backend returns
 bit-identical results.  That makes campaign results cacheable by *content
 digest*: canonicalise everything that influences the outcome — the
 enumerated episode list, the :class:`~repro.safety.arbitration.InterventionConfig`,
-the ML-arm fingerprint and any platform overrides — into a JSON document
+the ML-arm fingerprint and the episode horizon — into a JSON document
 with sorted keys and hash it with SHA-256.  The digest is stable across
 processes, machines and Python versions (``hash()`` is salted per process
 and unusable here, exactly as in :func:`repro.utils.rng.derive_seed`).
@@ -44,6 +44,7 @@ import time
 import types
 import warnings
 from dataclasses import dataclass
+from stat import S_ISDIR
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.campaign import CampaignSpec, EpisodeSpec, as_episode_list
@@ -194,7 +195,7 @@ def campaign_digest(
     campaign: Union[CampaignSpec, Sequence[EpisodeSpec]],
     interventions: InterventionConfig,
     ml_token: Optional[str] = None,
-    **platform_kwargs,
+    max_steps: Optional[int] = None,
 ) -> str:
     """SHA-256 content digest of everything that determines campaign results.
 
@@ -207,8 +208,9 @@ def campaign_digest(
         interventions: the safety configuration under test.
         ml_token: fingerprint of the ML arm (see :func:`factory_token`);
             required to be non-None by callers when ``interventions.ml``.
-        **platform_kwargs: the :class:`SimulationPlatform` overrides the
-            campaign runs with (``max_steps``, ``dt``, ...).
+        max_steps: the episode horizon the campaign runs with.  The
+            payload's ``"platform"`` object is ``{"max_steps": N}``, or
+            empty for None (the paper horizon).
 
     Returns:
         A 64-character lowercase hex digest.
@@ -219,9 +221,9 @@ def campaign_digest(
         "episodes": [canonical_episode(e) for e in episodes],
         "interventions": canonical_interventions(interventions),
         "ml": ml_token,
-        "platform": {str(k): v for k, v in platform_kwargs.items()},
+        "platform": {} if max_steps is None else {"max_steps": max_steps},
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -256,13 +258,22 @@ class CampaignCache:
             misses.  ``put`` requires the directory to exist.
 
     Raises:
-        NotADirectoryError: ``root`` exists and is not a directory (read
-            as an empty cache, it would pass every check vacuously).
+        NotADirectoryError: ``root`` exists and is not a directory, or lies
+            under a path that is not one (read as an empty cache, it would
+            pass every check vacuously).
     """
 
     def __init__(self, root: PathLike, create: bool = True) -> None:
         self.root = str(root)
-        if os.path.exists(self.root) and not os.path.isdir(self.root):
+        try:
+            mode: Optional[int] = os.stat(self.root).st_mode
+        except FileNotFoundError:
+            mode = None  # a missing directory is an empty cache
+        except NotADirectoryError:
+            raise NotADirectoryError(
+                f"{self.root!r} lies under a path that is not a directory"
+            ) from None
+        if mode is not None and not S_ISDIR(mode):
             raise NotADirectoryError(f"{self.root!r} exists and is not a directory")
         if create:
             os.makedirs(self.root, exist_ok=True)
@@ -579,7 +590,7 @@ def write_digest_sidecar(path: PathLike, digest: str) -> str:
     """Record ``digest`` next to a campaign JSONL file (``<path>.digest``).
 
     The sidecar lets resume detect that a file was written under different
-    inputs (platform overrides, interventions, grid) even though the
+    inputs (horizon, interventions, grid) even though the
     episode records themselves cannot carry that information — the JSONL
     format stays byte-identical across serial/shard/cache paths.
     """

@@ -82,29 +82,14 @@ class EpisodeTask:
             when ``interventions.ml`` is False).  A factory rather than an
             instance so controller state can never leak across episodes —
             and so each worker process builds its own controller.
-        platform_kwargs: extra :class:`SimulationPlatform` keyword
-            arguments (``max_steps``, ``dt``, ...).
+        max_steps: the episode's horizon; None runs the paper horizon,
+            :attr:`SimulationPlatform.MAX_STEPS`.
     """
 
     spec: EpisodeSpec
     interventions: InterventionConfig
     ml_factory: Optional[Callable[[], object]] = None
-    platform_kwargs: Tuple[Tuple[str, object], ...] = ()
-
-    @staticmethod
-    def make(
-        spec: EpisodeSpec,
-        interventions: InterventionConfig,
-        ml_factory: Optional[Callable[[], object]] = None,
-        **platform_kwargs,
-    ) -> "EpisodeTask":
-        """Build a task, normalising kwargs into a hashable/picklable form."""
-        return EpisodeTask(
-            spec=spec,
-            interventions=interventions,
-            ml_factory=ml_factory,
-            platform_kwargs=tuple(sorted(platform_kwargs.items())),
-        )
+    max_steps: Optional[int] = None
 
 
 @dataclass
@@ -154,7 +139,7 @@ def _build_platform(task: EpisodeTask) -> "SimulationPlatform":
         task.spec,
         task.interventions,
         ml_controller=controller,
-        **dict(task.platform_kwargs),
+        max_steps=task.max_steps,
     )
 
 
@@ -173,7 +158,7 @@ def run_steps(
     from the step they reached.  With a ``profile`` the clock is read
     between the phases, which changes no result.
     """
-    dt = platform.dt
+    dt = platform.DT
     for step_index in range(start, platform.max_steps):
         t0 = perf_counter() if profile is not None else 0.0
         platform._control_phase(step_index, result)
@@ -422,13 +407,12 @@ class BatchExecutor(CampaignExecutor):
     interpreter overhead for array dispatch, which pays off on
     campaign-sized episode counts.
 
-    Episodes can only share an integrate when they share a physics period,
-    so tasks are grouped by their ``dt``; episodes finish independently
-    (accident or ``max_steps``) and drop out of the lockstep as they do.
-    A lane joins the lockstep only when every stage of its step has a
-    lane-wide twin (:func:`repro.sim.batch_control.lockstep_refusal`);
-    a refused lane (a trace recorder, a non-stock ML controller, a
-    third-party agent behaviour) runs on the scalar loop from step 0.
+    Episodes finish independently (accident or ``max_steps``) and drop
+    out of the lockstep as they do.  A lane joins the lockstep only when
+    every stage of its step has a lane-wide twin
+    (:func:`repro.sim.batch_control.lockstep_refusal`); a refused lane (a
+    non-stock ML controller, a third-party agent behaviour) runs on the
+    scalar loop from step 0.
     Once fewer than :data:`BREAK_EVEN_LANES` lanes remain and none runs
     a batched ML controller (whose stacked LSTM forward wins at any
     width), the lockstep hands off: every lane's state is synced back to
@@ -436,9 +420,9 @@ class BatchExecutor(CampaignExecutor):
     or a lane cap below the constant, costs what serial costs.
 
     Args:
-        lanes: cap on episodes stepped together (``None`` = one batch per
-            ``dt`` group).  Smaller caps bound memory; larger caps
-            amortise NumPy dispatch overhead better.
+        lanes: cap on episodes stepped together (``None`` = one batch of
+            every task).  Smaller caps bound memory; larger caps amortise
+            NumPy dispatch overhead better.
         profile: optional :class:`PhaseProfile` to accumulate per-phase
             step timing into (``steps`` counts lane-steps); results are
             unaffected.
@@ -462,14 +446,10 @@ class BatchExecutor(CampaignExecutor):
             return []
         tracker = ProgressTracker(len(tasks), progress)
         results: List[Optional[EpisodeResult]] = [None] * len(tasks)
-        groups: Dict[object, List[int]] = {}
-        for index, task in enumerate(tasks):
-            dt = dict(task.platform_kwargs).get("dt", 0.01)
-            groups.setdefault(dt, []).append(index)
-        for indices in groups.values():
-            width = self.lanes or len(indices)
-            for i in range(0, len(indices), width):
-                self._run_batch(tasks, indices[i : i + width], results, tracker)
+        indices = range(len(tasks))
+        width = self.lanes or len(tasks)
+        for i in range(0, len(tasks), width):
+            self._run_batch(tasks, indices[i : i + width], results, tracker)
         return results  # type: ignore[return-value]
 
     def stream_width(self, remaining: int) -> int:
@@ -484,7 +464,7 @@ class BatchExecutor(CampaignExecutor):
         results: List[Optional[EpisodeResult]],
         tracker: ProgressTracker,
     ) -> None:
-        """Run one same-``dt`` group of episodes in lockstep."""
+        """Run the episodes at ``indices`` in lockstep."""
         from repro.sim.batch_control import BatchControlStack, lockstep_refusal
         from repro.sim.batch_hazards import BatchHazardMonitor
 
@@ -509,7 +489,7 @@ class BatchExecutor(CampaignExecutor):
         hazards = BatchHazardMonitor(
             [platform.hazards for platform in platforms], dynamics
         )
-        dt = platforms[0].dt
+        dt = platforms[0].DT
         episodes = [platform._begin_episode() for platform in platforms]
         steps = [0] * len(platforms)
         active = list(range(len(platforms)))
@@ -673,7 +653,7 @@ def default_jobs() -> int:
 def default_batch_lanes() -> Optional[int]:
     """Batch-lane default: the ``REPRO_BATCH_LANES`` environment variable.
 
-    ``None`` (unset) means "one batch per ``dt`` group" — no cap.
+    ``None`` (unset) means no cap.
 
     Raises:
         ValueError: on a malformed or non-positive ``REPRO_BATCH_LANES``.

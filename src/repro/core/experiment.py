@@ -151,13 +151,9 @@ def run_episode(
     spec: EpisodeSpec,
     interventions: InterventionConfig,
     ml_controller: Optional[MlController] = None,
-    **platform_kwargs,
 ) -> EpisodeResult:
     """Run a single episode and return its measurements."""
-    platform = SimulationPlatform(
-        spec, interventions, ml_controller=ml_controller, **platform_kwargs
-    )
-    return platform.run()
+    return SimulationPlatform(spec, interventions, ml_controller=ml_controller).run()
 
 
 def _validate_resume_prefix(
@@ -219,7 +215,7 @@ def run_campaign(
     lanes: Optional[int] = None,
     resume_path: Optional[PathLike] = None,
     cache: Union[CampaignCache, None, bool] = None,
-    **platform_kwargs,
+    max_steps: Optional[int] = None,
 ) -> CampaignResult:
     """Run every episode of ``campaign`` under ``interventions``.
 
@@ -261,7 +257,7 @@ def run_campaign(
             records the campaign's content digest — which carries the full
             scenario-family identity (family id plus resolved sweep
             parameters, see :func:`repro.core.cache.canonical_episode`) —
-            so a file written under different inputs (platform overrides,
+            so a file written under different inputs (horizon,
             interventions, grid, or another sweep point) is refused instead
             of silently absorbed; files without a sidecar fall back to
             per-record identity validation (episode seeds encode the sweep
@@ -273,7 +269,8 @@ def run_campaign(
             ``REPRO_CACHE_DIR`` environment default, or ``False`` to
             disable caching outright.  A cache hit returns the stored
             results without executing a single episode.
-        **platform_kwargs: forwarded to :class:`SimulationPlatform`.
+        max_steps: every episode's horizon; None runs the paper horizon,
+            :attr:`SimulationPlatform.MAX_STEPS`.  Part of the digest.
 
     Returns:
         A :class:`CampaignResult` whose ``results`` order matches the
@@ -287,7 +284,7 @@ def run_campaign(
     from repro.core.scheduler import CampaignPlan, execute_shard
 
     plan = CampaignPlan.build(
-        campaign, interventions, shards=1, ml_factory=ml_factory, **platform_kwargs
+        campaign, interventions, shards=1, ml_factory=ml_factory, max_steps=max_steps
     )
     if executor is None or isinstance(executor, str):
         executor = ExecutionPolicy(executor, jobs, lanes).resolve()

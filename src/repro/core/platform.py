@@ -88,34 +88,36 @@ class SimulationPlatform:
         spec: the episode (scenario, gap, fault, seed, friction).
         interventions: which safety mechanisms are enabled.
         ml_controller: required when ``interventions.ml`` is True.
-        dt: control/physics period [s] (paper: ~10 ms).
-        max_steps: episode length (paper: 10,000).
+        max_steps: episode length; None runs the paper horizon,
+            :attr:`MAX_STEPS`.
         record_trace: keep a down-sampled :class:`EpisodeTrace`.
         perception_params: optional perception overrides (ablations).
     """
 
     #: Trace decimation factor: the trace keeps every 5th step.
     TRACE_EVERY = 5
+    #: Control/physics period [s]: OpenPilot's fixed ~10 ms control cycle.
+    DT = 0.01
+    #: The paper's episode length in steps.
+    MAX_STEPS = 10_000
 
     def __init__(
         self,
         spec: EpisodeSpec,
         interventions: InterventionConfig,
         ml_controller: Optional[MlController] = None,
-        dt: float = 0.01,
-        max_steps: int = 10_000,
+        max_steps: Optional[int] = None,
         record_trace: bool = False,
         perception_params: Optional[PerceptionParams] = None,
     ) -> None:
         if interventions.ml and ml_controller is None:
             raise ValueError("interventions.ml=True requires an ml_controller")
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if max_steps is None:
+            max_steps = self.MAX_STEPS
         if max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         self.spec = spec
         self.interventions = interventions
-        self.dt = dt
         self.max_steps = max_steps
         self.record_trace = record_trace
 
@@ -230,7 +232,7 @@ class SimulationPlatform:
         return finished
 
     def _finish_episode(self, result: EpisodeResult) -> None:
-        result.duration = result.steps * self.dt
+        result.duration = result.steps * self.DT
         result.accident = self.hazards.accident
         result.accident_time = self.hazards.accident_time
         result.h1 = self.hazards.h1.occurred
@@ -249,7 +251,7 @@ class SimulationPlatform:
 
         Records this tick's interventions, as ``BatchControlStack.step_control`` does.
         """
-        dt = self.dt
+        dt = self.DT
         world = self.world
         ego = world.ego
         now = world.time

@@ -126,7 +126,7 @@ class _ContentKeyed:
     episodes: Tuple[EpisodeSpec, ...]
     interventions: InterventionConfig
     ml_token: Optional[str]
-    platform_kwargs: Tuple[Tuple[str, object], ...]
+    max_steps: Optional[int]
 
     @property
     def total(self) -> int:
@@ -148,7 +148,7 @@ class _ContentKeyed:
                 list(self.episodes),
                 self.interventions,
                 ml_token=self.ml_token,
-                **dict(self.platform_kwargs),
+                max_steps=self.max_steps,
             )
             object.__setattr__(self, "_digest", memo)
         return memo
@@ -166,9 +166,7 @@ class ShardJob(_ContentKeyed):
             ``interventions.ml``); fleet backends require it picklable.
         ml_token: the factory's digest fingerprint (see
             :func:`repro.core.cache.factory_token`).
-        platform_kwargs: normalised :class:`SimulationPlatform` overrides,
-            as sorted ``(key, value)`` pairs (the
-            :class:`~repro.core.executor.EpisodeTask` convention).
+        max_steps: every episode's horizon (None: the paper horizon).
     """
 
     shard: ShardSpec
@@ -176,7 +174,7 @@ class ShardJob(_ContentKeyed):
     interventions: InterventionConfig
     ml_factory: Optional[Callable[[], object]] = None
     ml_token: Optional[str] = None
-    platform_kwargs: Tuple[Tuple[str, object], ...] = ()
+    max_steps: Optional[int] = None
 
     def file_name(self) -> str:
         """Canonical shard JSONL name inside a dispatch work directory.
@@ -207,7 +205,7 @@ class CampaignPlan(_ContentKeyed):
     jobs: Tuple[ShardJob, ...]
     ml_factory: Optional[Callable[[], object]] = None
     ml_token: Optional[str] = None
-    platform_kwargs: Tuple[Tuple[str, object], ...] = ()
+    max_steps: Optional[int] = None
 
     @classmethod
     def build(
@@ -216,7 +214,7 @@ class CampaignPlan(_ContentKeyed):
         interventions: InterventionConfig,
         shards: int = 1,
         ml_factory: Optional[Callable[[], object]] = None,
-        **platform_kwargs,
+        max_steps: Optional[int] = None,
     ) -> "CampaignPlan":
         """Decompose ``campaign`` into ``shards`` contiguous shard jobs.
 
@@ -228,7 +226,7 @@ class CampaignPlan(_ContentKeyed):
                 clamped to the episode count so no job is empty (a
                 single empty job is kept for the empty campaign).
             ml_factory: required when ``interventions.ml``.
-            **platform_kwargs: forwarded to every episode's platform.
+            max_steps: every episode's horizon (None: the paper horizon).
 
         Raises:
             ValueError: non-positive ``shards``, or an ML campaign
@@ -240,7 +238,6 @@ class CampaignPlan(_ContentKeyed):
             raise ValueError("interventions.ml=True requires ml_factory")
         episodes = tuple(as_episode_list(campaign))
         ml_token = factory_token(ml_factory) if interventions.ml else None
-        kwargs = tuple(sorted((str(k), v) for k, v in platform_kwargs.items()))
         count = max(1, min(shards, len(episodes) or 1))
         jobs = tuple(
             ShardJob(
@@ -249,7 +246,7 @@ class CampaignPlan(_ContentKeyed):
                 interventions=interventions,
                 ml_factory=ml_factory,
                 ml_token=ml_token,
-                platform_kwargs=kwargs,
+                max_steps=max_steps,
             )
             for shard in ShardSpec.partition(count)
         )
@@ -259,7 +256,7 @@ class CampaignPlan(_ContentKeyed):
             jobs=jobs,
             ml_factory=ml_factory,
             ml_token=ml_token,
-            platform_kwargs=kwargs,
+            max_steps=max_steps,
         )
 
 
@@ -351,8 +348,8 @@ def load_stored(
             raise ValueError(
                 f"{resume_path}: recorded campaign digest {recorded[:16]}… "
                 f"does not match this invocation's {job.digest()[:16]}…; "
-                "the file was written under different inputs (platform "
-                "overrides, interventions or grid) — refusing to resume"
+                "the file was written under different inputs (horizon, "
+                "interventions or grid) — refusing to resume"
             )
         prior = load_results(resume_path)
         _validate_resume_prefix(prior, job.episodes, label, resume_path)
@@ -417,13 +414,12 @@ def execute_shard(
         return CampaignResult(intervention=label, results=hit)
 
     # ---- execute the remainder ------------------------------------------
-    platform_kwargs = dict(job.platform_kwargs)
     tasks = [
-        EpisodeTask.make(
+        EpisodeTask(
             spec,
             interventions,
             ml_factory=job.ml_factory if interventions.ml else None,
-            **platform_kwargs,
+            max_steps=job.max_steps,
         )
         for spec in job.episodes[len(prior) :]
     ]
@@ -481,7 +477,7 @@ class WorkerJob:
         shard: which slice this worker owns.
         episodes: the reconstructed episode slice.
         interventions: the reconstructed safety configuration.
-        platform_kwargs: platform overrides for every episode.
+        max_steps: every episode's horizon (None: the paper horizon).
         digest: the shard digest the scheduler recorded (already verified
             against a local recomputation by :func:`load_job_spec`).
         output: shard JSONL destination (resolved to an absolute path).
@@ -496,7 +492,7 @@ class WorkerJob:
     shard: ShardSpec
     episodes: List[EpisodeSpec]
     interventions: InterventionConfig
-    platform_kwargs: Dict[str, object]
+    max_steps: Optional[int]
     digest: str
     output: str
     cache_dir: Optional[str] = None
@@ -530,7 +526,7 @@ def write_job_spec(
         "digest": job.digest(),
         "episodes": [canonical_episode(spec) for spec in job.episodes],
         "interventions": canonical_interventions(job.interventions),
-        "platform": dict(job.platform_kwargs),
+        "platform": {} if job.max_steps is None else {"max_steps": job.max_steps},
         "output": output,
         "cache_dir": cache_dir,
         "ml": None
@@ -554,7 +550,8 @@ def load_job_spec(path: PathLike) -> WorkerJob:
     """Parse and verify a worker spec file written by :func:`write_job_spec`.
 
     Raises:
-        ValueError: unknown format version, malformed content, or a digest
+        ValueError: unknown format version, malformed content (a
+            ``platform`` key other than ``max_steps`` included), or a digest
             mismatch between the spec's recorded digest and one recomputed
             from the reconstructed episodes — the scheduler and this worker
             disagree on campaign identity (version skew), and running
@@ -575,7 +572,10 @@ def load_job_spec(path: PathLike) -> WorkerJob:
         )
         episodes = [episode_from_canonical(form) for form in doc["episodes"]]
         interventions = interventions_from_canonical(doc["interventions"])
-        platform_kwargs = {str(k): v for k, v in (doc.get("platform") or {}).items()}
+        platform = dict(doc.get("platform") or {})
+        max_steps = platform.pop("max_steps", None)
+        if platform:
+            raise TypeError(f"unexpected platform keys {sorted(platform)}")
         recorded = str(doc["digest"])
         output = str(doc["output"])
     except (KeyError, TypeError) as exc:
@@ -583,7 +583,7 @@ def load_job_spec(path: PathLike) -> WorkerJob:
     ml_doc = doc.get("ml")
     ml_token = None if ml_doc is None else ml_doc.get("token")
     recomputed = campaign_digest(
-        episodes, interventions, ml_token=ml_token, **platform_kwargs
+        episodes, interventions, ml_token=ml_token, max_steps=max_steps
     )
     if recomputed != recorded:
         raise ValueError(
@@ -604,7 +604,7 @@ def load_job_spec(path: PathLike) -> WorkerJob:
         shard=shard,
         episodes=episodes,
         interventions=interventions,
-        platform_kwargs=platform_kwargs,
+        max_steps=max_steps,
         digest=recorded,
         output=_resolve(output),
         cache_dir=doc.get("cache_dir"),
@@ -1140,7 +1140,7 @@ def dispatch_campaign(
     cache: Union[CampaignCache, None, bool] = None,
     progress: Optional[ProgressCallback] = None,
     log: Optional[LogCallback] = None,
-    **platform_kwargs,
+    max_steps: Optional[int] = None,
 ) -> CampaignResult:
     """Plan, dispatch and collect one campaign over a worker backend.
 
@@ -1172,7 +1172,7 @@ def dispatch_campaign(
         progress: ``(done episodes, total)`` callback; fleet backends
             report at shard granularity.
         log: line sink for dispatch narration (worker launches, retries).
-        **platform_kwargs: forwarded to every episode's platform.
+        max_steps: every episode's horizon (None: the paper horizon).
 
     Returns:
         The full-campaign :class:`CampaignResult`, in enumeration order.
@@ -1184,7 +1184,7 @@ def dispatch_campaign(
         interventions,
         shards=shards if shards is not None else backend.default_shard_count(),
         ml_factory=ml_factory,
-        **platform_kwargs,
+        max_steps=max_steps,
     )
     cache = resolve_cache(cache)
     hit, _ = load_stored(plan, cache)

@@ -11,9 +11,9 @@ execution — correctness survives, the distribution story does not.
 The rule flags lambda and nested-function arguments to the submission
 APIs (``pool.submit``/``map``, :func:`repro.core.experiment.run_campaign`,
 :func:`repro.core.scheduler.dispatch_campaign`,
-``EpisodeTask.make``).  Keyword arguments that never cross a process
-boundary (``progress``, ``log``, ``key``) are exempt: progress callbacks
-run in the dispatching process by design.
+:func:`repro.core.scheduler.execute_shard`).  Keyword arguments that
+never cross a process boundary (``progress``, ``log``, ``key``) are
+exempt: progress callbacks run in the dispatching process by design.
 
 Sanctioned alternative: a module-level function or a picklable factory
 class such as :class:`repro.ml.mitigation.MitigationFactory`.

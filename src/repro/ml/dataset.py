@@ -11,7 +11,7 @@ and normalises features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def collect_fault_free_traces(
                 for step in range(max_steps):
                     feats.append(platform._ml_features())
                     platform._control_phase(step, result)
-                    platform.world.step(platform.dt)
+                    platform.world.step(platform.DT)
                     cmd = platform.controls.last_command
                     targets.append([cmd.accel, cmd.steer])
                     if platform.hazards.update(platform.world) is not None:

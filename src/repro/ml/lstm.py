@@ -18,7 +18,7 @@ Shapes: inputs are ``(batch, time, features)``; the head output is
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -23,7 +23,7 @@ can evaluate the alternative hierarchy the paper calls for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.adas.controlsd import AdasCommand

@@ -44,7 +44,6 @@ from repro.sim.scenarios import (
     SCENARIO_IDS,
     ScenarioConfig,
     build_scenario,
-    scenario_catalog,
 )
 from repro.sim import workloads as _workloads  # noqa: F401  (registers the extra families)
 
@@ -62,7 +61,6 @@ __all__ = [
     "SCENARIO_IDS",
     "ScenarioConfig",
     "build_scenario",
-    "scenario_catalog",
     "ParamSpec",
     "ScenarioFamily",
     "UnknownScenarioError",

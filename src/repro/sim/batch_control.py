@@ -85,7 +85,9 @@ def lockstep_refusal(platform) -> Optional[str]:
     stage of its step has a lane-wide twin.  A trace recorder, an ML
     controller :func:`~repro.sim.batch_ml.ml_batchable` rejects and an
     agent behaviour with no registered kind
-    (:func:`~repro.sim.batch_agents.behavior_refusal`) have none.
+    (:func:`~repro.sim.batch_agents.behavior_refusal`) have none.  A
+    campaign task carries no trace recorder, so the trace cause guards
+    direct :class:`BatchControlStack` use.
     """
     if platform.trace is not None:
         return "it records a trace"
@@ -452,7 +454,7 @@ class BatchControlStack:
         pos = self._view_positions(view.key, key)
         m = len(key)
         now = self.platforms[key[0]].world.time
-        dt = self.platforms[key[0]].dt
+        dt = self.platforms[key[0]].DT
 
         speed = b.speed
         d = b.d

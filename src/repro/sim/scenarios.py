@@ -27,8 +27,8 @@ golden-digest regression test pins this).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from repro.sim.agents import (
     AgentBinding,
@@ -65,8 +65,6 @@ __all__ = [
     "EGO_SPEED",
     "EGO_START_S",
     "ScenarioConfig",
-    "ScenarioInfo",
-    "scenario_catalog",
     "build_scenario",
     "PaperScenarioFamily",
 ]
@@ -121,23 +119,6 @@ class ScenarioConfig:
         object.__setattr__(self, "params", family.resolve_params(self.params))
 
 
-@dataclass(frozen=True)
-class ScenarioInfo:
-    """Catalog entry describing a scenario (for docs and reports)."""
-
-    scenario_id: str
-    description: str
-    lead_speeds_mph: List[float] = field(default_factory=list)
-
-
-def scenario_catalog() -> List[ScenarioInfo]:
-    """Human-readable catalogue of S1-S6 (mirrors the paper's Fig. 4)."""
-    return [
-        ScenarioInfo(family.family_id, family.title, list(family.lead_speeds_mph))
-        for family in PAPER_FAMILIES
-    ]
-
-
 def build_scenario(config: ScenarioConfig) -> World:
     """Instantiate the world for ``config`` via the family registry.
 
@@ -171,11 +152,9 @@ class PaperScenarioFamily(ScenarioFamily):
         self,
         family_id: str,
         title: str,
-        lead_speeds_mph: Tuple[float, ...],
         populate: Callable,
     ) -> None:
         super().__init__(family_id=family_id, title=title)
-        self.lead_speeds_mph = lead_speeds_mph
         self._populate = populate
 
     def build(self, config: ScenarioConfig) -> World:
@@ -259,14 +238,14 @@ def _populate_s6(world: World, lead_s: float, v30: float, v40: float, jit) -> No
 
 #: The paper's six families in paper order, registered below.
 PAPER_FAMILIES: Tuple[PaperScenarioFamily, ...] = tuple(
-    PaperScenarioFamily(fid, title, speeds, populate)
-    for fid, title, speeds, populate in (
-        ("S1", "Lead vehicle cruises at a constant 30 mph.", (30.0,), _populate_s1),
-        ("S2", "Lead cruises at 30 mph, then accelerates to 40 mph.", (30.0, 40.0), _populate_s2),
-        ("S3", "Lead cruises at 40 mph, then decelerates to 30 mph.", (40.0, 30.0), _populate_s3),
-        ("S4", "Lead cruises at 30 mph, then suddenly brakes to a stop.", (30.0,), _populate_s4),
-        ("S5", "Lead cruises at 30 mph; adjacent-lane vehicle cuts in.", (30.0,), _populate_s5),
-        ("S6", "Two leads at 30 mph; the nearer changes lane away.", (30.0,), _populate_s6),
+    PaperScenarioFamily(fid, title, populate)
+    for fid, title, populate in (
+        ("S1", "Lead vehicle cruises at a constant 30 mph.", _populate_s1),
+        ("S2", "Lead cruises at 30 mph, then accelerates to 40 mph.", _populate_s2),
+        ("S3", "Lead cruises at 40 mph, then decelerates to 30 mph.", _populate_s3),
+        ("S4", "Lead cruises at 30 mph, then suddenly brakes to a stop.", _populate_s4),
+        ("S5", "Lead cruises at 30 mph; adjacent-lane vehicle cuts in.", _populate_s5),
+        ("S6", "Two leads at 30 mph; the nearer changes lane away.", _populate_s6),
     )
 )
 

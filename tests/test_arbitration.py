@@ -1,7 +1,5 @@
 """Unit tests for the priority arbitration (AEB > driver > ML > ADAS)."""
 
-import pytest
-
 from repro.adas.controlsd import AdasCommand
 from repro.safety.aebs import AebsConfig, AebsState
 from repro.safety.arbitration import Arbitrator, InterventionConfig

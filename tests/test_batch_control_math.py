@@ -11,7 +11,6 @@ oracle is the scalar arithmetic itself.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -567,7 +567,7 @@ class TestBatchMlLaneEquivalence:
         episodes = enumerate_campaign(spec)
         factories = [synthetic_ml_factory(seed=1), synthetic_ml_factory(seed=2), None]
         tasks = [
-            EpisodeTask.make(
+            EpisodeTask(
                 episode,
                 ML_CFG if factory is not None else FULL_CFG,
                 ml_factory=factory,

@@ -6,12 +6,12 @@ them, then syncs every lane back to its objects and finishes each on
 ``run_steps``.  These tests fire the hand-off at a chosen step and
 byte-compare the results with :class:`SerialExecutor`.
 
-A lockstep groups tasks by ``dt`` only, so tasks with different
-``max_steps`` share one.  The *pacer*, a copy of the first episode that
-ends at step ``k``, is the first lane to retire; with the constant at
-the task count, the others hand off at step ``k`` (or earlier, where a
-lane crashes first).  Step 0 needs no pacer: the constant goes above the
-width instead.
+Every task of a lane-capped slice joins one lockstep, so tasks with
+different ``max_steps`` share one.  The *pacer*, a copy of the first
+episode that ends at step ``k``, is the first lane to retire; with the
+constant at the task count, the others hand off at step ``k`` (or
+earlier, where a lane crashes first).  Step 0 needs no pacer: the
+constant goes above the width instead.
 """
 
 import json
@@ -47,11 +47,11 @@ HAND_OFF_STEPS = (0, 1, HORIZON // 2, HORIZON - 1)
 def staggered(episodes, cfg, hand_off_at, horizon=HORIZON, **kwargs):
     """One lockstep's tasks, paced to hand off at step ``hand_off_at``."""
     tasks = [
-        EpisodeTask.make(episode, cfg, max_steps=horizon, **kwargs)
+        EpisodeTask(episode, cfg, max_steps=horizon, **kwargs)
         for episode in episodes
     ]
     if hand_off_at > 0:
-        pacer = EpisodeTask.make(
+        pacer = EpisodeTask(
             episodes[0], cfg, max_steps=hand_off_at, **kwargs
         )
         tasks.insert(0, pacer)
@@ -164,32 +164,6 @@ class TestHandOff:
         tasks = staggered(enumerate_campaign(spec), FULL_CFG, hand_off_at)
         check_hand_off(tasks, hand_off_at, monkeypatch, hand_off_starts)
 
-    @pytest.mark.parametrize("hand_off_at", (0, HORIZON // 2))
-    def test_trace_recording_lane(self, hand_off_at, monkeypatch, hand_off_starts):
-        # A trace-recording lane never joins the lockstep: it runs on the
-        # scalar loop from step 0, and the other lanes hand off as usual.
-        episodes = enumerate_campaign(
-            _family_spec("S4", FaultType.RELATIVE_DISTANCE, seed=11)
-        )
-        tasks = staggered(episodes, FULL_CFG, hand_off_at)
-        lockstep = len(tasks)
-        tasks.append(
-            EpisodeTask.make(
-                episodes[1], FULL_CFG, max_steps=HORIZON, record_trace=True
-            )
-        )
-        serial = SerialExecutor().run(tasks)
-        hand_off_starts.clear()
-        monkeypatch.setattr(
-            executor_module, "BREAK_EVEN_LANES", lockstep + (hand_off_at == 0)
-        )
-        batch = BatchExecutor().run(tasks)
-        first = 0 if hand_off_at == 0 else min(r.steps for r in serial[:lockstep])
-        handed_off = sum(r.steps > first for r in serial[:lockstep])
-        assert hand_off_starts == [0] + [first] * handed_off
-        assert lines(batch) == lines(serial)
-        assert batch == serial
-
     @pytest.mark.parametrize("hand_off_at", (0, 1, HORIZON // 2))
     def test_batch_parallel_executor(self, hand_off_at, monkeypatch):
         # Each worker's chunk is its own lockstep: two paced chunks of
@@ -243,8 +217,7 @@ class TestRefusedLanes:
 
         def spy(platform, result, start=0, profile=None):
             kind = (
-                "trace" if platform.trace is not None
-                else "ml" if platform.ml_controller is not None
+                "ml" if platform.ml_controller is not None
                 else platform.spec.scenario_id
             )
             starts.append((kind, start))
@@ -257,25 +230,22 @@ class TestRefusedLanes:
             _family_spec(third_party_family, FaultType.RELATIVE_DISTANCE, seed=11)
         )[0]
         tasks = [
-            EpisodeTask.make(episodes[0], FULL_CFG, max_steps=HORIZON),
-            EpisodeTask.make(
-                episodes[1], FULL_CFG, max_steps=HORIZON, record_trace=True
-            ),
-            EpisodeTask.make(
+            EpisodeTask(episodes[0], FULL_CFG, max_steps=HORIZON),
+            EpisodeTask(
                 episodes[1], ML_CFG, ml_factory=constant_ml_factory,
                 max_steps=HORIZON,
             ),
-            EpisodeTask.make(third_party, FULL_CFG, max_steps=HORIZON),
-            EpisodeTask.make(episodes[1], FULL_CFG, max_steps=HORIZON),
+            EpisodeTask(third_party, FULL_CFG, max_steps=HORIZON),
+            EpisodeTask(episodes[1], FULL_CFG, max_steps=HORIZON),
         ]
         serial = SerialExecutor().run(tasks)
         monkeypatch.setattr(executor_module, "run_steps", spy)
         monkeypatch.setattr(executor_module, "BREAK_EVEN_LANES", 0)
         batch = BatchExecutor().run(tasks)
-        assert starts == [("trace", 0), ("ml", 0), (third_party_family, 0)]
+        assert starts == [("ml", 0), (third_party_family, 0)]
         assert lines(batch) == lines(serial)
         assert batch == serial
-        assert serial[3].attack_activated  # precondition: a live lane
+        assert serial[2].attack_activated  # precondition: a live lane
 
 
 class TestMlLanesStay:
@@ -289,9 +259,9 @@ class TestMlLanesStay:
             _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=13)
         )
         tasks = [
-            EpisodeTask.make(episodes[0], FULL_CFG, max_steps=50),
-            EpisodeTask.make(episodes[1], FULL_CFG, max_steps=300),
-            EpisodeTask.make(
+            EpisodeTask(episodes[0], FULL_CFG, max_steps=50),
+            EpisodeTask(episodes[1], FULL_CFG, max_steps=300),
+            EpisodeTask(
                 episodes[1], ML_CFG, ml_factory=factory, max_steps=300
             ),
         ]
@@ -311,9 +281,9 @@ class TestMlLanesStay:
             _family_spec("S1", FaultType.RELATIVE_DISTANCE, seed=13)
         )
         tasks = [
-            EpisodeTask.make(episodes[0], ML_CFG, ml_factory=factory, max_steps=50),
-            EpisodeTask.make(episodes[0], FULL_CFG, max_steps=300),
-            EpisodeTask.make(episodes[1], FULL_CFG, max_steps=300),
+            EpisodeTask(episodes[0], ML_CFG, ml_factory=factory, max_steps=50),
+            EpisodeTask(episodes[0], FULL_CFG, max_steps=300),
+            EpisodeTask(episodes[1], FULL_CFG, max_steps=300),
         ]
         serial = SerialExecutor().run(tasks)
         hand_off_starts.clear()

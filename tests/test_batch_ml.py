@@ -19,7 +19,6 @@ from repro.ml.dataset import WINDOW
 from repro.ml.lstm import LstmNetwork, _sigmoid
 from repro.ml.mitigation import (
     MitigationController,
-    MitigationFactory,
     MitigationParams,
 )
 from repro.ml.trainer import TrainedBaseline

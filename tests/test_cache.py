@@ -188,11 +188,6 @@ class TestDigestStability:
             != campaign_digest(SMALL_SPEC, CFG, ml_token="b")
         )
 
-    def test_kwarg_order_does_not_matter(self):
-        assert campaign_digest(SMALL_SPEC, CFG, max_steps=300, dt=0.01) == (
-            campaign_digest(SMALL_SPEC, CFG, dt=0.01, max_steps=300)
-        )
-
 
 def _module_level_factory():  # pragma: no cover - only fingerprinted
     raise AssertionError("never called")

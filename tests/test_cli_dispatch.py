@@ -377,19 +377,20 @@ class TestCacheCommand:
     def test_refuses_a_path_that_is_not_a_directory(
         self, action, source, tmp_path, monkeypatch, capsys
     ):
-        # Read as an empty cache, a regular file would verify as a false
-        # all-clear ("0 ok, 0 corrupt", exit 0).
+        # Read as an empty cache, a regular file, or a path under one,
+        # would verify as a false all-clear ("0 ok, 0 corrupt", exit 0).
         bogus = tmp_path / "a-file"
         bogus.write_text("not a directory")
-        argv = ["cache", *action]
-        if source == "--cache-dir":
-            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-            argv += ["--cache-dir", str(bogus)]
-        else:
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert source in err and str(bogus) in err
+        for root in (bogus, bogus / "sub"):
+            argv = ["cache", *action]
+            if source == "--cache-dir":
+                monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+                argv += ["--cache-dir", str(root)]
+            else:
+                monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            assert main(argv) == 2, root
+            err = capsys.readouterr().err
+            assert source in err and str(root) in err
         assert bogus.read_text() == "not a directory"
 
 

@@ -52,11 +52,24 @@ class TestCommands:
 
 
 class TestReport:
-    def test_small_report_contains_all_tables(self, tmp_path):
+    def test_small_report_contains_all_tables(self, tmp_path, monkeypatch):
         from repro.analysis.report import ReportConfig, generate_report
+        from repro.core.executor import ExecutionPolicy
+        from repro.core.platform import SimulationPlatform
 
+        # The whole DAG at a 1,000-step horizon (CI runs this report at
+        # the paper horizon).  The private cache and the in-process
+        # executor keep the short-horizon results, which the paper-horizon
+        # digests key, out of every other cache and process.
+        monkeypatch.setattr(SimulationPlatform, "MAX_STEPS", 1000)
         text = generate_report(
-            ReportConfig(repetitions=1, seed=5, reaction_times=(2.5,))
+            ReportConfig(
+                repetitions=1,
+                seed=5,
+                reaction_times=(2.5,),
+                execution=ExecutionPolicy("serial"),
+                cache_dir=str(tmp_path / "cache"),
+            )
         )
         for marker in ("Table IV", "Table V", "Table VI", "Table VII",
                        "Table VIII", "Fig. 5", "Fig. 6"):

@@ -135,7 +135,7 @@ def test_view_equals_scalar_queries_every_tick():
     _assert_view_matches(stack, lanes, seen)
     for _ in range(TICKS):
         stack.step_control(lanes)
-        dynamics.step(lanes, platforms[0].dt)
+        dynamics.step(lanes, platforms[0].DT)
         _assert_view_matches(stack, lanes, seen)
 
     assert all(

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from repro.attacks.campaign import CampaignSpec, EpisodeSpec
+from repro.attacks.campaign import CampaignSpec
 from repro.attacks.fi import FaultType
 from repro.core.experiment import run_campaign, run_episode
-from repro.core.hazards import AccidentType, HazardMonitor
+from repro.core.hazards import AccidentType
 from repro.core.metrics import EpisodeResult, InterventionActivity, aggregate
 from repro.core.platform import SimulationPlatform
 from repro.safety.aebs import AebsConfig
@@ -68,10 +68,6 @@ class TestPlatformValidation:
     def test_ml_requires_controller(self):
         with pytest.raises(ValueError):
             SimulationPlatform(episode(), InterventionConfig(ml=True))
-
-    def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            SimulationPlatform(episode(), InterventionConfig(), dt=0.0)
 
     def test_max_steps_validation(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from repro.core.executor import (
     ParallelExecutor,
     ProgressTracker,
     SerialExecutor,
+    _build_platform,
     default_jobs,
 )
 from repro.core.experiment import CampaignResult, run_campaign
@@ -30,6 +31,7 @@ from repro.core.metrics import (
     load_results,
     save_results,
 )
+from repro.core.platform import SimulationPlatform
 from repro.safety.aebs import AebsConfig
 from repro.safety.arbitration import InterventionConfig
 
@@ -59,7 +61,7 @@ def _benign_tasks(count, ml_at=()):
         )
         if rep in ml_at:
             tasks.append(
-                EpisodeTask.make(
+                EpisodeTask(
                     spec,
                     InterventionConfig(ml=True),
                     ml_factory=lambda: _DummyMl(),  # repro-lint: disable=unpicklable-submission
@@ -67,7 +69,7 @@ def _benign_tasks(count, ml_at=()):
                 )
             )
         else:
-            tasks.append(EpisodeTask.make(spec, InterventionConfig(), max_steps=200))
+            tasks.append(EpisodeTask(spec, InterventionConfig(), max_steps=200))
     return tasks
 
 
@@ -247,7 +249,7 @@ class TestExecutorConstruction:
             for rep in range(5)
         ]
         tasks = [
-            EpisodeTask.make(spec, InterventionConfig(), max_steps=50)
+            EpisodeTask(spec, InterventionConfig(), max_steps=50)
             for spec in specs
         ]
         calls = []
@@ -523,7 +525,7 @@ class TestBenchRepetitionsValidation:
 
 
 class TestEpisodeTask:
-    def test_make_normalizes_kwargs(self):
+    def test_horizon_reaches_the_platform(self):
         spec = EpisodeSpec(
             scenario_id="S1",
             initial_gap=60.0,
@@ -531,8 +533,12 @@ class TestEpisodeTask:
             repetition=0,
             seed=1,
         )
-        task = EpisodeTask.make(spec, InterventionConfig(), max_steps=100, dt=0.01)
-        assert task.platform_kwargs == (("dt", 0.01), ("max_steps", 100))
+        cfg = InterventionConfig()
+        assert _build_platform(EpisodeTask(spec, cfg, max_steps=100)).max_steps == 100
+        assert (
+            _build_platform(EpisodeTask(spec, cfg)).max_steps
+            == SimulationPlatform.MAX_STEPS
+        )
 
     def test_task_is_picklable(self):
         import pickle
@@ -544,6 +550,6 @@ class TestEpisodeTask:
             repetition=0,
             seed=1,
         )
-        task = EpisodeTask.make(spec, InterventionConfig(), max_steps=100)
+        task = EpisodeTask(spec, InterventionConfig(), max_steps=100)
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task

@@ -1,7 +1,5 @@
 """Edge-case tests for metrics aggregation and experiment plumbing."""
 
-import pytest
-
 from repro.core.hazards import AccidentType, HazardMonitor
 from repro.core.metrics import EpisodeResult, aggregate, group_by
 from repro.sim.agents import AgentBinding, CruiseBehavior

@@ -20,6 +20,7 @@ from repro.attacks.fi import FaultType
 from repro.cli import main
 from repro.core.cache import CampaignCache, campaign_digest, canonical_episode
 from repro.core.experiment import run_campaign
+from repro.core.scheduler import CampaignPlan
 from repro.safety.arbitration import InterventionConfig
 from repro.sim.families import (
     ParamSpec,
@@ -73,6 +74,21 @@ GOLDEN_FAULT_FREE_GRID = (
 #: First episode seed of the attack grid (seed derivation pin).
 GOLDEN_FIRST_SEED = 12594071752222980532
 
+#: The one-repetition attack grid (seed 2025, default interventions) at
+#: the paper horizon and at 4,400 steps, and the two shard digests of the
+#: 4,400-step grid cut in two: the keys of campaigns run with a horizon
+#: (``--max-steps``, perfbench's arms).
+GOLDEN_PAPER_HORIZON = (
+    "ce2f94c4242a69c45eb78e11c74185fb2d3aacaec7085d4323cde324e31a2215"
+)
+GOLDEN_4400_STEPS = (
+    "71a495e41f41b06bec7ddc53aaad5a7ab579cc071c6f5cfef02b26f7a3b93075"
+)
+GOLDEN_4400_STEP_SHARDS = (
+    "8640c03586269536c7092ab164734aa0ea6dbae35b7e1ca3b2c4275cb3398841",
+    "44c134c2aae92e2bf3b81fe33c639c43a0a802ef6721739b020f1b962ef232a9",
+)
+
 
 class TestGoldenDigests:
     def test_per_cell_digests_unchanged(self):
@@ -95,6 +111,15 @@ class TestGoldenDigests:
             fault_types=[FaultType.NONE], repetitions=10, seed=2025
         )
         assert campaign_digest(benign, cfg) == GOLDEN_FAULT_FREE_GRID
+
+    def test_horizon_digests_unchanged(self):
+        cfg = InterventionConfig()
+        spec = CampaignSpec(repetitions=1, seed=2025)
+        assert campaign_digest(spec, cfg) == GOLDEN_PAPER_HORIZON
+        assert campaign_digest(spec, cfg, max_steps=4400) == GOLDEN_4400_STEPS
+        plan = CampaignPlan.build(spec, cfg, shards=2, max_steps=4400)
+        assert plan.digest() == GOLDEN_4400_STEPS
+        assert tuple(job.digest() for job in plan.jobs) == GOLDEN_4400_STEP_SHARDS
 
     def test_seed_derivation_unchanged(self):
         episodes = enumerate_campaign(CampaignSpec(repetitions=10, seed=2025))

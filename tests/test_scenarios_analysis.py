@@ -28,7 +28,6 @@ from repro.sim.scenarios import (
     SCENARIO_IDS,
     ScenarioConfig,
     build_scenario,
-    scenario_catalog,
 )
 from repro.utils.units import mph_to_ms
 
@@ -74,9 +73,6 @@ class TestScenarioConstruction:
         a = build_scenario(ScenarioConfig(scenario_id="S1", seed=5)).lead_gap()
         b = build_scenario(ScenarioConfig(scenario_id="S1", seed=5)).lead_gap()
         assert a == b
-
-    def test_catalog_covers_all(self):
-        assert [c.scenario_id for c in scenario_catalog()] == list(SCENARIO_IDS)
 
 
 class TestRender:

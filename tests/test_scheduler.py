@@ -11,6 +11,7 @@ write-through).
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -334,7 +335,7 @@ class TestWorkerSpec:
         assert worker_job.shard == job.shard
         assert tuple(worker_job.episodes) == job.episodes
         assert worker_job.interventions == job.interventions
-        assert worker_job.platform_kwargs == {"max_steps": MAX_STEPS}
+        assert worker_job.max_steps == MAX_STEPS
         assert worker_job.digest == job.digest()
         assert worker_job.cache_dir == "/c"
         # Relative outputs resolve against the spec file's directory.
@@ -377,6 +378,18 @@ class TestWorkerSpec:
         spec_path = tmp_path / "job.spec.json"
         spec_path.write_text('{"format": 999}')
         with pytest.raises(ValueError, match="unsupported worker spec format"):
+            load_job_spec(str(spec_path))
+
+    def test_unknown_platform_key_refused(self, tmp_path):
+        # The horizon is a spec's only platform input; any other key is
+        # malformed, not a digest input.
+        job = small_plan(1).jobs[0]
+        spec_path = tmp_path / "job.spec.json"
+        write_job_spec(job, str(spec_path), output="out.jsonl")
+        doc = json.loads(spec_path.read_text())
+        doc["platform"] = {"dt": 0.01}
+        spec_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed worker spec"):
             load_job_spec(str(spec_path))
 
 

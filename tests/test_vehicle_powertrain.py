@@ -1,7 +1,5 @@
 """Unit tests for repro.sim.vehicle and repro.sim.powertrain."""
 
-import math
-
 import pytest
 
 from repro.sim.powertrain import Powertrain, PowertrainParams
