@@ -102,7 +102,13 @@ fail with an error naming the registered families instead of a traceback.
 Environment variables:
 
 * ``REPRO_JOBS`` — default worker process count for campaigns.
+* ``REPRO_BATCH_LANES`` — default lockstep lane cap of ``--executor
+  batch`` (``--lanes`` wins; see
+  :meth:`repro.core.executor.ExecutionPolicy.resolve`).
 * ``REPRO_CACHE_DIR`` — default campaign result cache directory.
+* ``REPRO_SSH_COMMAND`` — default ``{command}`` template of the ``ssh``
+  worker backend (``--ssh-command`` wins; see
+  :class:`repro.core.scheduler.SSHBackend`).
 * ``REPRO_REPS`` / ``REPRO_FULL`` — repetitions per grid cell for the
   benchmark suite (see :mod:`benchmarks._bench_utils`).
 """

@@ -14,17 +14,18 @@ interchangeable executors behind one abstraction,
   vectorized batch engine in one process.
 * :class:`ParallelExecutor` and :class:`BatchParallelExecutor` — one
   process pool (:func:`_run_pool`) running one of the two in-process
-  executors inside each worker: contiguous chunks go out, results come
-  back in submission order.  ``ParallelExecutor`` runs
-  :class:`SerialExecutor` in many small chunks for load balancing;
+  executors inside each worker: contiguous chunks go out, and each
+  chunk's results land at their task positions as it returns.
+  ``ParallelExecutor`` runs :class:`SerialExecutor` in many small chunks
+  for load balancing;
   ``BatchParallelExecutor`` (``--executor batch --jobs N``) runs
   :class:`BatchExecutor` in one wide chunk per worker, composing the
   vectorization speedup with multi-core scaling.
 
 All four return results **bit-identical** to the serial executor's for
-the same episode list, and report progress through a thread-safe
-``(done, total)`` callback (see :class:`ProgressTracker`), counted per
-*episode* even when dispatch happens per chunk.
+the same episode list, in task order, and hand each episode back as it
+finishes through an ``on_result(index, result)`` callback, called once
+per task on the calling thread (see :meth:`CampaignExecutor.run`).
 
 Episode payloads cross process boundaries, which is why
 :class:`~repro.core.metrics.EpisodeResult` is fully picklable and carries
@@ -53,7 +54,6 @@ from __future__ import annotations
 import abc
 import os
 import pickle
-import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
@@ -68,7 +68,7 @@ from repro.safety.arbitration import InterventionConfig
 if TYPE_CHECKING:
     from repro.core.platform import SimulationPlatform
 
-ProgressCallback = Callable[[int, int], None]
+ResultCallback = Callable[[int, EpisodeResult], None]
 
 
 @dataclass(frozen=True)
@@ -177,42 +177,6 @@ def run_steps(
     return result
 
 
-class ProgressTracker:
-    """Thread-safe ``(done, total)`` progress fan-in.
-
-    Chunked parallel dispatch completes out of order and (depending on the
-    executor implementation) may report from multiple threads; this
-    serialises the counter updates and the user callback behind one lock so
-    ``done`` is strictly monotonic.  ``done`` counts *episodes* but advances
-    by whole chunks under parallel dispatch, so consumers must not assume
-    unit increments — only that each reported value exceeds the last and
-    the final call reports ``(total, total)``.
-    """
-
-    def __init__(self, total: int, callback: Optional[ProgressCallback]) -> None:
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        self.total = total
-        self.done = 0
-        self._callback = callback
-        self._lock = threading.Lock()
-
-    def advance(self, count: int = 1) -> None:
-        """Record ``count`` finished episodes and notify the callback.
-
-        Raises:
-            ValueError: if ``count`` is not positive — a zero or negative
-                advance is always a caller bug (an empty chunk result
-                would silently stall the ``(done, total)`` contract).
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        with self._lock:
-            self.done += count
-            if self._callback is not None:
-                self._callback(self.done, self.total)
-
-
 class CampaignExecutor(abc.ABC):
     """Maps :class:`EpisodeTask`s to :class:`EpisodeResult`s, in order.
 
@@ -225,19 +189,15 @@ class CampaignExecutor(abc.ABC):
     def run(
         self,
         tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
+        on_result: Optional[ResultCallback] = None,
     ) -> List[EpisodeResult]:
-        """Execute every task and return results in task order."""
+        """Execute every task and return results in task order.
 
-    def stream_width(self, remaining: int) -> int:
-        """Tasks per :meth:`run` call when results stream to a resume file.
-
-        A resumed run hands the executor its ``remaining`` tasks in
-        slices of this width and persists each slice's results before the
-        next starts, so the width is both the executor's unit of work and
-        the most a crash can lose.  The default is 8 episodes.
+        ``on_result(i, result)`` is called once per task, on the calling
+        thread, as soon as task ``i`` finishes; tasks may finish in any
+        order.  The shard primitive persists and reports progress through
+        it (:func:`repro.core.scheduler.execute_shard`).
         """
-        return 8
 
 
 class SerialExecutor(CampaignExecutor):
@@ -255,16 +215,17 @@ class SerialExecutor(CampaignExecutor):
     def run(
         self,
         tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
+        on_result: Optional[ResultCallback] = None,
     ) -> List[EpisodeResult]:
-        tracker = ProgressTracker(len(tasks), progress)
         results: List[EpisodeResult] = []
-        for task in tasks:
+        for index, task in enumerate(tasks):
             platform = _build_platform(task)
-            results.append(
-                run_steps(platform, platform._begin_episode(), profile=self.profile)
+            result = run_steps(
+                platform, platform._begin_episode(), profile=self.profile
             )
-            tracker.advance()
+            results.append(result)
+            if on_result is not None:
+                on_result(index, result)
         return results
 
 
@@ -302,22 +263,23 @@ def _run_pool(
     jobs: int,
     chunk_size: int,
     tasks: Sequence[EpisodeTask],
-    progress: Optional[ProgressCallback],
+    on_result: Optional[ResultCallback],
 ) -> List[EpisodeResult]:
     """Run ``tasks`` on ``jobs`` worker processes, ``inner`` inside each.
 
     The one process-pool loop: tasks go out in contiguous chunks of
-    ``chunk_size`` and are reassembled in submission order, so the result
-    list is bit-identical to ``inner.run(tasks)`` whatever the chunk
-    boundaries.  One worker, one task or a payload that does not pickle
-    runs ``inner`` in this process instead.
+    ``chunk_size``, and each returned chunk's results land at their task
+    positions (and go to ``on_result``), so the result list is
+    bit-identical to ``inner.run(tasks)`` whatever the chunk boundaries.
+    One worker, one task or a payload that does not pickle runs ``inner``
+    in this process instead.
     """
     if not tasks:
         return []
     if jobs == 1 or len(tasks) == 1:
         # One worker or one task: a pool adds spawn + pickling overhead
         # with zero parallelism to gain.
-        return inner.run(tasks, progress)
+        return inner.run(tasks, on_result)
     if not _dispatchable(tasks):
         warnings.warn(
             "campaign payload is not picklable (e.g. a lambda ml_factory); "
@@ -327,23 +289,22 @@ def _run_pool(
             RuntimeWarning,
             stacklevel=3,
         )
-        return inner.run(tasks, progress)
+        return inner.run(tasks, on_result)
 
-    tracker = ProgressTracker(len(tasks), progress)
-    chunks = [
-        list(tasks[i : i + chunk_size]) for i in range(0, len(tasks), chunk_size)
-    ]
-    ordered: Dict[int, List[EpisodeResult]] = {}
-    with _ProcessPool(max_workers=min(jobs, len(chunks))) as pool:
+    starts = range(0, len(tasks), chunk_size)
+    results: List[Optional[EpisodeResult]] = [None] * len(tasks)
+    with _ProcessPool(max_workers=min(jobs, len(starts))) as pool:
         futures = {
-            pool.submit(_run_chunk, inner, chunk): index
-            for index, chunk in enumerate(chunks)
+            pool.submit(_run_chunk, inner, tasks[start : start + chunk_size]): start
+            for start in starts
         }
         for future in as_completed(futures):
-            chunk_results = future.result()
-            ordered[futures[future]] = chunk_results
-            tracker.advance(len(chunk_results))
-    return [result for index in range(len(chunks)) for result in ordered[index]]
+            start = futures[future]
+            for index, result in enumerate(future.result(), start):
+                results[index] = result
+                if on_result is not None:
+                    on_result(index, result)
+    return results  # type: ignore[return-value]
 
 
 class ParallelExecutor(CampaignExecutor):
@@ -372,17 +333,12 @@ class ParallelExecutor(CampaignExecutor):
     def run(
         self,
         tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
+        on_result: Optional[ResultCallback] = None,
     ) -> List[EpisodeResult]:
         size = self.chunk_size or min(
             max(1, len(tasks) // (self.jobs * 4)), self.MAX_AUTO_CHUNK
         )
-        return _run_pool(SerialExecutor(), self.jobs, size, tasks, progress)
-
-    def stream_width(self, remaining: int) -> int:
-        # A few dispatch rounds per slice, so streaming costs little
-        # parallel efficiency.
-        return max(8, 4 * self.jobs)
+        return _run_pool(SerialExecutor(), self.jobs, size, tasks, on_result)
 
 
 #: Lockstep width below which a batch tick costs more than stepping each
@@ -440,31 +396,31 @@ class BatchExecutor(CampaignExecutor):
     def run(
         self,
         tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
+        on_result: Optional[ResultCallback] = None,
     ) -> List[EpisodeResult]:
         if not tasks:
             return []
-        tracker = ProgressTracker(len(tasks), progress)
         results: List[Optional[EpisodeResult]] = [None] * len(tasks)
+
+        def finish(index: int, result: EpisodeResult) -> None:
+            results[index] = result
+            if on_result is not None:
+                on_result(index, result)
+
         indices = range(len(tasks))
         width = self.lanes or len(tasks)
         for i in range(0, len(tasks), width):
-            self._run_batch(tasks, indices[i : i + width], results, tracker)
+            self._run_batch(tasks, indices[i : i + width], finish)
         return results  # type: ignore[return-value]
-
-    def stream_width(self, remaining: int) -> int:
-        # One lockstep batch per slice: the lane cap, or uncapped the
-        # whole remainder, which persists only once it completes.
-        return self.lanes or max(1, remaining)
 
     def _run_batch(
         self,
         tasks: Sequence[EpisodeTask],
         indices: Sequence[int],
-        results: List[Optional[EpisodeResult]],
-        tracker: ProgressTracker,
+        finish: ResultCallback,
     ) -> None:
-        """Run the episodes at ``indices`` in lockstep."""
+        """Run the episodes at ``indices`` in lockstep, handing each
+        result to ``finish`` as its lane retires."""
         from repro.sim.batch_control import BatchControlStack, lockstep_refusal
         from repro.sim.batch_hazards import BatchHazardMonitor
 
@@ -477,10 +433,8 @@ class BatchExecutor(CampaignExecutor):
                 platforms.append(platform)
                 admitted.append(index)
             else:
-                results[index] = run_steps(
-                    platform, platform._begin_episode(), profile=profile
-                )
-                tracker.advance()
+                result = run_steps(platform, platform._begin_episode(), profile=profile)
+                finish(index, result)
         if not platforms:
             return
         indices = admitted
@@ -511,10 +465,10 @@ class BatchExecutor(CampaignExecutor):
                 # this tick boundary.
                 for lane in active:
                     sync(lane)
-                    results[indices[lane]] = run_steps(
+                    result = run_steps(
                         platforms[lane], episodes[lane], steps[lane], profile
                     )
-                    tracker.advance()
+                    finish(indices[lane], result)
                 return
             t0 = perf_counter() if profile is not None else 0.0
             stack.step_control(active)
@@ -543,8 +497,7 @@ class BatchExecutor(CampaignExecutor):
                 if finished or steps[lane] >= platform.max_steps:
                     sync(lane)
                     platform._finish_episode(episodes[lane])
-                    results[indices[lane]] = episodes[lane]
-                    tracker.advance()
+                    finish(indices[lane], episodes[lane])
                 else:
                     remaining.append(lane)
             active = remaining
@@ -595,16 +548,12 @@ class BatchParallelExecutor(CampaignExecutor):
     def run(
         self,
         tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
+        on_result: Optional[ResultCallback] = None,
     ) -> List[EpisodeResult]:
         # ceil: one chunk per worker
         size = self.chunk_size or max(1, -(-len(tasks) // self.jobs))
         inner = BatchExecutor(lanes=self.lanes)
-        return _run_pool(inner, self.jobs, size, tasks, progress)
-
-    def stream_width(self, remaining: int) -> int:
-        # One lane-capped batch per worker, or uncapped the whole remainder.
-        return self.jobs * self.lanes if self.lanes else max(1, remaining)
+        return _run_pool(inner, self.jobs, size, tasks, on_result)
 
 
 def available_cores() -> int:

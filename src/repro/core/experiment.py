@@ -48,10 +48,11 @@ persistence layer on top of that format makes campaigns distributable:
 * **resume** — ``run_campaign(..., resume_path=...)`` loads the valid
   prefix of a partially-written JSONL file, skips the episodes it already
   records, runs only the remainder and rewrites the file complete.  Safe at
-  any truncation point, including a write cut mid-line.  The remainder
-  streams to the file in slices of the executor's
-  :meth:`~repro.core.executor.CampaignExecutor.stream_width` (under
-  ``executor="batch"``, the lane cap, or the whole remainder uncapped).
+  any truncation point, including a write cut mid-line.  Under every
+  executor an episode is appended to the file once it and every episode
+  before it have been handed back (executors hand each result back as it
+  finishes, see :meth:`~repro.core.executor.CampaignExecutor.run`), so
+  ``lanes`` caps the lockstep width and nothing else.
 * **cache** — ``run_campaign(..., cache=...)`` consults a digest-keyed
   :class:`~repro.core.cache.CampaignCache` directory before executing
   anything, so a repeated campaign executes zero episodes.  The argument
@@ -66,9 +67,10 @@ persistence layer on top of that format makes campaigns distributable:
 
 ``run_campaign`` itself is a thin façade over the distributed scheduler
 (:mod:`repro.core.scheduler`): it builds a single-shard
-:class:`~repro.core.scheduler.CampaignPlan` and executes it in-process,
-so the one implementation of cache-consult / resume / streaming behaviour
-is shared with every multi-worker backend (``repro dispatch``).  Whether
+:class:`~repro.core.scheduler.CampaignPlan` and runs its one job through
+:func:`~repro.core.scheduler.execute_shard` in this process, so the one
+implementation of cache-consult / resume / streaming behaviour is shared
+with every multi-worker backend (``repro dispatch``).  Whether
 a campaign's results are already stored — cache entry, then resume file
 — is answered by one rule, :func:`~repro.core.scheduler.load_stored`
 (with :func:`~repro.core.scheduler.stored_count` as its cheap form),
@@ -229,8 +231,9 @@ def run_campaign(
             :class:`repro.ml.mitigation.MitigationFactory` — it is picklable
             (crosses the process boundary under parallel execution) and
             carries a ``digest_token`` so ML campaigns cache like the rest.
-        progress: optional ``(done, total)`` callback; invoked thread-safely
-            and monotonically by every backend.  ``total`` always counts the
+        progress: optional ``(done, total)`` callback, called on the
+            calling thread as episodes finish, with ``done`` strictly
+            increasing under every backend.  ``total`` always counts the
             full campaign; under resume, ``done`` starts at the number of
             episodes already on disk.
         jobs: worker process count; ``None`` defers to the ``REPRO_JOBS``
@@ -251,9 +254,10 @@ def run_campaign(
             (then uncapped).  Ignored by the other executors.
         resume_path: campaign JSONL file to resume into.  An existing file's
             valid prefix (truncated final lines tolerated) is loaded and its
-            episodes skipped; only the remainder executes, with completed
-            episodes streamed to the file batch by batch so an interrupted
-            run leaves a resumable prefix behind.  A ``.digest`` sidecar
+            episodes skipped; only the remainder executes, each episode
+            appended to the file once every episode before it has
+            finished, so an interrupted run leaves a resumable prefix
+            behind.  A ``.digest`` sidecar
             records the campaign's content digest — which carries the full
             scenario-family identity (family id plus resolved sweep
             parameters, see :func:`repro.core.cache.canonical_episode`) —

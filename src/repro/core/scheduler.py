@@ -14,9 +14,9 @@ explicit three-phase pipeline:
   producing a shard JSONL plus its ``.digest`` sidecar.  Backends live in
   a registry (the :mod:`repro.sim.families` idiom):
 
-  - :class:`InProcessBackend` wraps the executor layer —
-    ``run_campaign`` is a thin façade over a single-shard plan on this
-    backend, bit-identical to the historical path;
+  - :class:`InProcessBackend` runs each shard in this process through
+    :func:`execute_shard`, the primitive ``run_campaign`` calls directly
+    on its own single-shard plan (with no backend or work directory);
   - :class:`SubprocessFleetBackend` spawns N ``repro worker`` CLI
     processes, each consuming a shard-spec JSON file — a real fleet on
     one machine, and the exact protocol shape a remote backend needs;
@@ -382,18 +382,24 @@ def execute_shard(
     every path through the system shares one implementation of the
     cache-consult / resume / stream-to-disk behaviour.
 
+    The remainder runs as one ``executor.run`` call, which hands each
+    episode back as it finishes.  An episode is appended to the resume
+    file once every episode before it has finished, and before the
+    ``progress`` report that counts it.
+
     Args:
         job: the shard to execute.
         executor: runs the episodes that are neither cached nor resumed
             (see :meth:`~repro.core.executor.ExecutionPolicy.resolve`).
         progress: optional ``(done, total)`` callback over this shard's
-            episodes; under resume, ``done`` starts at the number of
-            episodes already on disk.
+            episodes, one call per finished episode; under resume,
+            ``done`` starts at the number of episodes already on disk.
         resume_path: shard JSONL file to resume into.  An existing file's
             valid prefix (truncated final lines tolerated) is loaded and
-            its episodes skipped; only the remainder executes, streamed to
-            the file batch by batch, and a ``.digest`` sidecar refuses
-            files written under different inputs.
+            its episodes skipped; only the remainder executes, appended
+            to the file in episode order as it finishes, and a
+            ``.digest`` sidecar refuses files written under different
+            inputs.
         cache: the cache to consult and populate, or None for none.  A
             hit returns the stored results without executing a single
             episode.
@@ -426,38 +432,38 @@ def execute_shard(
     skipped = len(prior)
     if progress is not None and skipped:
         progress(skipped, total)
-
-    new: List[EpisodeResult] = []
-    if resume_path is None:
-        offset_progress = (
-            None
-            if progress is None
-            else (lambda done, _remaining_total: progress(skipped + done, total))
-        )
-        new = executor.run(tasks, progress=offset_progress)
-    else:
-        # Rewrite the validated prefix once (dropping any truncated tail),
-        # then stream completed episodes to the file batch by batch: an
-        # interrupted run leaves a valid, resumable prefix behind instead
-        # of nothing.  The rewrite goes through a temp file + atomic rename
-        # so a crash mid-rewrite cannot destroy the episodes already earned;
-        # a crash mid-append only dangles a final line, which the next
-        # resume's prefix load already tolerates.  The executor sets the
-        # batch width (see CampaignExecutor.stream_width).
+    if resume_path is not None:
+        # Rewrite the validated prefix once (dropping any truncated tail)
+        # through a temp file + atomic rename, so a crash mid-rewrite
+        # cannot destroy the episodes already earned.
         _rewrite(resume_path, prior, job.digest())
-        batch_size = executor.stream_width(len(tasks))
-        for start in range(0, len(tasks), batch_size):
-            batch = tasks[start : start + batch_size]
-            done_before = skipped + len(new)
-            batch_progress = (
-                None
-                if progress is None
-                else (lambda done, _t, _base=done_before: progress(_base + done, total))
-            )
-            batch_results = executor.run(batch, progress=batch_progress)
-            new.extend(batch_results)
-            save_results(batch_results, resume_path, append=True)
 
+    finished: Dict[int, EpisodeResult] = {}
+    on_disk = 0  # tasks[:on_disk] are handed back (and in the resume file)
+
+    def commit(index: int, result: EpisodeResult) -> None:
+        # Append whole records only: a crash mid-append dangles at most a
+        # final line, which the next resume's prefix load tolerates.
+        nonlocal on_disk
+        finished[index] = result
+        end = on_disk
+        while end in finished:
+            end += 1
+        if resume_path is not None and end > on_disk:
+            save_results(
+                [finished[i] for i in range(on_disk, end)], resume_path, append=True
+            )
+        on_disk = end
+        if progress is not None:
+            progress(skipped + len(finished), total)
+
+    new = executor.run(tasks, commit)
+    if on_disk != len(tasks):
+        raise RuntimeError(
+            f"{type(executor).__name__}.run handed back {len(finished)} of "
+            f"{len(tasks)} results through on_result; a CampaignExecutor "
+            "must call it once per task"
+        )
     results = prior + new
     if cache is not None and _cacheable(job):
         cache.put(job.digest(), results)
@@ -680,10 +686,12 @@ class InProcessBackend(WorkerBackend):
     """Runs every shard in this process via the executor layer.
 
     The reference backend: zero dispatch overhead beyond the shard files
-    themselves, and the one ``run_campaign`` degenerates to.  ``workers``
-    stands in for the policy's unset ``jobs`` (the executor's process-pool
-    size), so ``--backend in-process --workers 4`` parallelises episodes
-    exactly like ``--jobs 4``, and an explicit ``--jobs`` wins.
+    themselves.  Each shard goes through :func:`execute_shard`, which
+    ``run_campaign`` also calls, directly, without a backend or work
+    directory.  ``workers`` stands in for the policy's unset ``jobs``
+    (the executor's process-pool size), so ``--backend in-process
+    --workers 4`` parallelises episodes exactly like ``--jobs 4``, and an
+    explicit ``--jobs`` wins.
     """
 
     name = "in-process"
@@ -714,6 +722,8 @@ class InProcessBackend(WorkerBackend):
             if shard_complete(job, path):
                 if log is not None:
                     log(f"shard {job.shard}: already complete, skipping")
+                if progress is not None:
+                    progress(done + job.total, plan.total)
             else:
                 if log is not None:
                     log(f"shard {job.shard}: running {job.total} episodes in-process")
@@ -731,8 +741,6 @@ class InProcessBackend(WorkerBackend):
                     cache=cache,
                 )
             done += job.total
-            if progress is not None:
-                progress(done, plan.total)
             paths.append(path)
         return paths
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.campaign import CampaignSpec, enumerate_campaign
 from repro.attacks.fi import FaultType
+from repro.core import executor as executor_module
 from repro.core.executor import (
     EXECUTOR_NAMES,
     BatchExecutor,
@@ -311,9 +312,9 @@ class TestResolveExecutor:
         seen = []
 
         class Spy(SerialExecutor):
-            def run(self, tasks, progress=None):
+            def run(self, tasks, on_result=None):
                 seen.append(len(tasks))
-                return super().run(tasks, progress)
+                return super().run(tasks, on_result)
 
         spec = CampaignSpec(
             fault_types=[FaultType.NONE], scenario_ids=("S1",),
@@ -322,6 +323,16 @@ class TestResolveExecutor:
         run_campaign(spec, InterventionConfig(), executor=Spy(), cache=False,
                      max_steps=20)
         assert seen == [1]
+
+        # An instance that returns its results without handing each back
+        # through on_result would leave a resume file short: refused.
+        class Silent(SerialExecutor):
+            def run(self, tasks, on_result=None):
+                return super().run(tasks)
+
+        with pytest.raises(RuntimeError, match="on_result"):
+            run_campaign(spec, InterventionConfig(), executor=Silent(),
+                         cache=False, max_steps=20)
 
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ValueError, match="serial.*parallel.*batch"):
@@ -672,9 +683,10 @@ class TestBatchParallelExecutor(PoolContract):
 
 
 class TestResumeStreamWidth:
-    """Under ``resume_path`` the shard primitive slices the remaining tasks
-    by the executor's own ``stream_width``, so the batch engine steps its
-    lane cap (or the whole remainder) at a time — not a fixed 8 lanes."""
+    """Under ``resume_path`` the shard primitive hands the executor the
+    whole remainder in one ``run`` call, as without resume: the batch
+    engine steps its lane cap (or the whole remainder) at a time, and a
+    pooled executor builds one process pool."""
 
     #: S1-S6 x 60/230 m x 2 faults x 2 repetitions = 48 episodes.
     SPEC = CampaignSpec(
@@ -688,9 +700,9 @@ class TestResumeStreamWidth:
         seen = []
         run_batch = BatchExecutor._run_batch
 
-        def spy(self, tasks, indices, results, tracker):
+        def spy(self, tasks, indices, finish):
             seen.append(len(indices))
-            run_batch(self, tasks, indices, results, tracker)
+            run_batch(self, tasks, indices, finish)
 
         monkeypatch.setattr(BatchExecutor, "_run_batch", spy)
         resumed = run_campaign(
@@ -706,14 +718,29 @@ class TestResumeStreamWidth:
         assert seen == widths
         assert resumed.results == direct.results
 
-    def test_stream_width_per_executor(self):
-        assert SerialExecutor().stream_width(48) == 8
-        assert ParallelExecutor(jobs=1).stream_width(48) == 8
-        assert ParallelExecutor(jobs=3).stream_width(48) == 12
-        assert BatchExecutor().stream_width(48) == 48
-        assert BatchExecutor(lanes=32).stream_width(48) == 32
-        assert BatchParallelExecutor(jobs=2).stream_width(48) == 48
-        assert BatchParallelExecutor(jobs=2, lanes=4).stream_width(48) == 8
-        # A complete resume file leaves nothing to run; the width must
-        # still be a valid slice step.
-        assert BatchExecutor().stream_width(0) == 1
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"executor": "parallel", "jobs": 2},
+            {"executor": "batch", "jobs": 2, "lanes": 12},
+        ],
+        ids=["parallel", "hybrid"],
+    )
+    def test_resumed_run_builds_one_pool(self, knobs, tmp_path, monkeypatch):
+        built = []
+
+        class CountingPool(executor_module._ProcessPool):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "_ProcessPool", CountingPool)
+        resumed = run_campaign(
+            self.SPEC, FULL_CFG, cache=False, max_steps=40,
+            resume_path=str(tmp_path / "resume.jsonl"), **knobs,
+        )
+        assert len(built) == 1
+        serial = run_campaign(
+            self.SPEC, FULL_CFG, executor="serial", cache=False, max_steps=40
+        )
+        assert resumed.results == serial.results

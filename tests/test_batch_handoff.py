@@ -28,6 +28,8 @@ from repro.core.executor import (
     PhaseProfile,
     SerialExecutor,
 )
+from repro.core.experiment import run_campaign
+from repro.core.metrics import count_records, load_results
 from repro.safety.arbitration import InterventionConfig
 from repro.sim.families import registered_families
 from tests.test_batch_executor import (
@@ -195,14 +197,50 @@ class TestHandOff:
         assert profile.steps == sum(r.steps for r in serial)
 
     def test_progress_reaches_total(self, monkeypatch):
+        # The pacer retires in lockstep, the other two after the hand-off;
+        # each index comes back once, with the result the list holds.
         episodes = enumerate_campaign(
             _family_spec("S1", FaultType.NONE, seed=3)
         )
         tasks = staggered(episodes, FULL_CFG, 10, horizon=40)
         monkeypatch.setattr(executor_module, "BREAK_EVEN_LANES", len(tasks))
-        calls = []
-        BatchExecutor().run(tasks, progress=lambda d, t: calls.append((d, t)))
-        assert calls == [(1, 3), (2, 3), (3, 3)]
+        delivered = []
+        results = BatchExecutor().run(
+            tasks, lambda i, result: delivered.append((i, result))
+        )
+        assert [i for i, _ in delivered] == [0, 1, 2]
+        assert all(result is results[i] for i, result in delivered)
+
+    @pytest.mark.usefixtures("force_lockstep")
+    def test_resume_file_holds_retired_lanes_mid_run(self, tmp_path):
+        # The pacer (task 0) retires at step 10; the resume file must hold
+        # it while the two 40-step lanes are still stepping.
+        episodes = enumerate_campaign(
+            _family_spec("S1", FaultType.NONE, seed=3)
+        )
+
+        class Paced(BatchExecutor):
+            """Steps the shard's tasks with the pacer's horizon on task 0."""
+
+            def run(self, tasks, on_result=None):
+                paced = staggered(episodes, FULL_CFG, 10, horizon=40)
+                assert [t.spec for t in paced] == [t.spec for t in tasks]
+                return super().run(paced, on_result)
+
+        path = tmp_path / "resume.jsonl"
+        seen = []
+        results = run_campaign(
+            [episodes[0]] + episodes,
+            FULL_CFG,
+            executor=Paced(),
+            resume_path=path,
+            cache=False,
+            progress=lambda done, _total: seen.append((done, count_records(path))),
+            max_steps=40,
+        ).results
+        assert seen == [(1, 1), (2, 2), (3, 3)]
+        assert [r.steps for r in results] == [10, 40, 40]
+        assert load_results(path) == results
 
 
 class TestRefusedLanes:

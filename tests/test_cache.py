@@ -63,7 +63,7 @@ print(campaign_digest(spec, InterventionConfig(), max_steps=300), end="")
 class RefusingExecutor(SerialExecutor):
     """Backend that fails the test if a single episode is dispatched."""
 
-    def run(self, tasks, progress=None):
+    def run(self, tasks, on_result=None):
         raise AssertionError("cache hit must not execute episodes")
 
 
@@ -72,9 +72,9 @@ class CountingExecutor(SerialExecutor):
         super().__init__()
         self.executed = 0
 
-    def run(self, tasks, progress=None):
+    def run(self, tasks, on_result=None):
         self.executed += len(tasks)
-        return super().run(tasks, progress)
+        return super().run(tasks, on_result)
 
 
 class TestDigestStability:
@@ -178,7 +178,7 @@ class TestDigestStability:
         assert base not in keys
         assert len(keys) == len(variants)
 
-    def test_platform_kwargs_and_ml_token_change_the_key(self):
+    def test_horizon_and_ml_token_change_the_key(self):
         base = campaign_digest(SMALL_SPEC, CFG, max_steps=300)
         assert campaign_digest(SMALL_SPEC, CFG, max_steps=301) != base
         assert campaign_digest(SMALL_SPEC, CFG) != base
@@ -325,7 +325,7 @@ class TestRunCampaignCaching:
         backend = CountingExecutor()
         run_campaign(SMALL_SPEC, CFG, executor=backend, cache=cache,
                      max_steps=MAX_STEPS + 1)
-        assert backend.executed == 4  # different platform kwargs -> miss
+        assert backend.executed == 4  # another horizon -> miss
         backend2 = CountingExecutor()
         run_campaign(SMALL_SPEC, InterventionConfig(driver=True),
                      executor=backend2, cache=cache, max_steps=MAX_STEPS)

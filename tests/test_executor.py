@@ -17,7 +17,6 @@ from repro.core.executor import (
     BatchExecutor,
     EpisodeTask,
     ParallelExecutor,
-    ProgressTracker,
     SerialExecutor,
     _build_platform,
     default_jobs,
@@ -212,32 +211,10 @@ class TestExecutorConstruction:
         # Commands without a --jobs flag never read the env var.
         assert main(["fig5"]) == 0
 
-    def test_progress_tracker_counts(self):
-        calls = []
-        tracker = ProgressTracker(5, lambda d, t: calls.append((d, t)))
-        tracker.advance(2)
-        tracker.advance(3)
-        assert calls == [(2, 5), (5, 5)]
-
-    def test_progress_tracker_rejects_negative_total(self):
-        with pytest.raises(ValueError, match="total"):
-            ProgressTracker(-1, None)
-
-    def test_progress_tracker_rejects_nonpositive_advance(self):
-        calls = []
-        tracker = ProgressTracker(3, lambda d, t: calls.append((d, t)))
-        with pytest.raises(ValueError, match="count"):
-            tracker.advance(0)
-        with pytest.raises(ValueError, match="count"):
-            tracker.advance(-2)
-        # A rejected advance must not move the counter or notify.
-        assert tracker.done == 0
-        assert calls == []
-
     def test_progress_completes_under_chunked_batch_dispatch(self):
-        # 5 episodes through lanes=2 dispatch as chunks of 2/2/1; the
-        # (done, total) contract — monotonic, constant total, final call
-        # exactly (total, total) — must survive the uneven final chunk.
+        # 5 episodes through lanes=2 step as chunks of 2/2/1; every
+        # index must come back through on_result exactly once, with the
+        # result the returned list holds, the uneven final chunk included.
         specs = [
             EpisodeSpec(
                 scenario_id="S1",
@@ -252,14 +229,15 @@ class TestExecutorConstruction:
             EpisodeTask(spec, InterventionConfig(), max_steps=50)
             for spec in specs
         ]
-        calls = []
-        BatchExecutor(lanes=2).run(
-            tasks, progress=lambda d, t: calls.append((d, t))
-        )
-        dones = [d for d, _ in calls]
-        assert dones == sorted(dones)
-        assert all(t == 5 for _, t in calls)
-        assert calls[-1] == (5, 5)
+        delivered = {}
+
+        def on_result(index, result):
+            assert index not in delivered
+            delivered[index] = result
+
+        results = BatchExecutor(lanes=2).run(tasks, on_result)
+        assert sorted(delivered) == list(range(5))
+        assert all(delivered[i] is results[i] for i in range(5))
 
 
 def _attacked_result() -> EpisodeResult:

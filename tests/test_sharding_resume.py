@@ -21,7 +21,12 @@ from repro.attacks.campaign import (
 from repro.attacks.fi import FaultType
 from repro.core.executor import SerialExecutor
 from repro.core.experiment import merge_shards, run_campaign
-from repro.core.metrics import EpisodeResult, load_results, save_results
+from repro.core.metrics import (
+    EpisodeResult,
+    count_records,
+    load_results,
+    save_results,
+)
 from repro.safety.arbitration import InterventionConfig
 
 #: 4-episode campaign shared by the simulation-backed tests below.
@@ -35,6 +40,15 @@ SMALL_SPEC = CampaignSpec(
 CFG = InterventionConfig()
 MAX_STEPS = 300
 
+#: 10-episode campaign (2 scenarios x 5 reps) for the streaming tests.
+TEN_SPEC = CampaignSpec(
+    fault_types=[FaultType.NONE],
+    scenario_ids=("S1", "S4"),
+    initial_gaps=(60.0,),
+    repetitions=5,
+    seed=11,
+)
+
 
 class CountingExecutor(SerialExecutor):
     """Serial backend that records how many episodes actually execute."""
@@ -43,9 +57,9 @@ class CountingExecutor(SerialExecutor):
         super().__init__()
         self.executed = 0
 
-    def run(self, tasks, progress=None):
+    def run(self, tasks, on_result=None):
         self.executed += len(tasks)
-        return super().run(tasks, progress)
+        return super().run(tasks, on_result)
 
 
 class TestShardSpec:
@@ -325,46 +339,53 @@ class TestResume:
             )
 
     def test_interrupted_run_leaves_resumable_prefix(self, tmp_path):
-        """Results stream to the resume file as batches complete, so a
-        crash mid-campaign leaves the finished batches on disk instead of
+        """Results reach the resume file as episodes finish, so a crash
+        mid-campaign leaves the finished episodes on disk instead of
         nothing — resume then runs only what is missing."""
 
         class ExplodingExecutor(SerialExecutor):
-            """Completes the first dispatched batch, dies on the second."""
+            """Dies right after handing back its 8th result."""
 
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
+            def run(self, tasks, on_result=None):
+                def deliver(index, result):
+                    on_result(index, result)
+                    if index == 7:
+                        raise RuntimeError("simulated crash")
 
-            def run(self, tasks, progress=None):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("simulated crash")
-                return super().run(tasks, progress)
+                return super().run(tasks, deliver)
 
-        # 10 episodes (2 scenarios x 5 reps) at the minimum batch size of 8
-        # -> batches of 8 and 2; the crash lands in the second batch.
-        spec = CampaignSpec(
-            fault_types=[FaultType.NONE],
-            scenario_ids=("S1", "S4"),
-            initial_gaps=(60.0,),
-            repetitions=5,
-            seed=11,
-        )
+        # The crash lands after the 8th of 10 episodes, so 2 remain.
         path = tmp_path / "interrupted.jsonl"
         with pytest.raises(RuntimeError, match="simulated crash"):
             run_campaign(
-                spec, CFG, executor=ExplodingExecutor(), resume_path=path,
+                TEN_SPEC, CFG, executor=ExplodingExecutor(), resume_path=path,
                 cache=False, max_steps=50,
             )
-        assert len(path.read_text().splitlines()) == 8  # first batch persisted
+        assert len(path.read_text().splitlines()) == 8  # all 8 persisted
         backend = CountingExecutor()
         resumed = run_campaign(
-            spec, CFG, executor=backend, resume_path=path, cache=False, max_steps=50
+            TEN_SPEC, CFG, executor=backend, resume_path=path, cache=False,
+            max_steps=50,
         )
         assert backend.executed == 2
-        reference = run_campaign(spec, CFG, cache=False, max_steps=50)
+        reference = run_campaign(TEN_SPEC, CFG, cache=False, max_steps=50)
         assert resumed.results == reference.results
+
+    def test_progress_never_runs_ahead_of_the_file(self, tmp_path):
+        """Each episode is on disk before its progress report, so a crash
+        after ``(done, total)`` leaves ``done`` episodes to resume from."""
+        path = tmp_path / "in-step.jsonl"
+        seen = []
+        run_campaign(
+            TEN_SPEC,
+            CFG,
+            executor=SerialExecutor(),
+            resume_path=path,
+            cache=False,
+            progress=lambda done, total: seen.append((done, count_records(path))),
+            max_steps=50,
+        )
+        assert seen == [(done, done) for done in range(1, 11)]
 
     def test_rejects_oversized_resume_file(self, tmp_path, reference):
         path = tmp_path / "oversized.jsonl"
