@@ -446,25 +446,26 @@ class BatchExecutor(CampaignExecutor):
         dt = platforms[0].DT
         episodes = [platform._begin_episode() for platform in platforms]
         steps = [0] * len(platforms)
+        # The stack's arrays hold one row per active lane, in this order.
         active = list(range(len(platforms)))
         # The control phase runs before the first physics step, so its
         # step-0 world queries come from the initial state.
-        dynamics.prime(active)
+        dynamics.prime()
 
-        def sync(lane: int) -> None:
+        def sync(row: int, lane: int) -> None:
             # A lane's state lives in the stack's arrays until retire()
             # writes it back to its objects; quiet steps skip the per-step
             # counter write, so the step count is stamped first.
             episodes[lane].steps = steps[lane]
-            stack.retire(lane, episodes[lane])
+            stack.retire(row, lane, episodes[lane])
 
         while active:
             if len(active) < BREAK_EVEN_LANES and stack.ml_set.isdisjoint(active):
                 # Hand off: once synced, a lane's objects, hazard records
                 # and perception Generator stand where serial's would at
                 # this tick boundary.
-                for lane in active:
-                    sync(lane)
+                for row, lane in enumerate(active):
+                    sync(row, lane)
                     result = run_steps(
                         platforms[lane], episodes[lane], steps[lane], profile
                     )
@@ -480,27 +481,30 @@ class BatchExecutor(CampaignExecutor):
                 t2 = perf_counter()
                 profile.dynamics_s += t2 - t1
                 profile.steps += len(active)
-            stack.accumulate(active)
+            stack.accumulate()
             # Masked hazard screen: only lanes where the scalar monitor
             # could mark or latch something this step run it; the mask is
             # exact, so quiet lanes skip the per-lane update entirely.  The
             # intervention recorders already ran in step_control.
             haz_flags = hazards.screen(active)
-            remaining = []
-            for pos, lane in enumerate(active):
+            survivors = []
+            for row, lane in enumerate(active):
                 platform = platforms[lane]
                 finished = False
-                if haz_flags[pos]:
+                if haz_flags[row]:
                     finished = platform._close_step(steps[lane], episodes[lane])
-                    hazards.refresh(lane)
+                    hazards.refresh(row, lane)
                 steps[lane] += 1
                 if finished or steps[lane] >= platform.max_steps:
-                    sync(lane)
+                    sync(row, lane)
                     platform._finish_episode(episodes[lane])
                     finish(indices[lane], episodes[lane])
                 else:
-                    remaining.append(lane)
-            active = remaining
+                    survivors.append(row)
+            if len(survivors) < len(active):
+                # One compaction drops every retired lane's rows.
+                dynamics.registry.compact(survivors)
+                active = [active[row] for row in survivors]
             if profile is not None:
                 profile.post_s += perf_counter() - t2
 

@@ -16,12 +16,14 @@ twin: :func:`behavior_refusal` names it, the executor runs that lane on
 the scalar loop from its first step, and :class:`BehaviorBatch` refuses
 it.
 
-Trigger latches (``behavior.triggered``) and lateral targets live in
-persistent full-width arrays indexed by a global actor id, so re-binding
-to a different active-lane subset (lanes finish independently) loses
-nothing.  On the rare step a trigger flips, the flag is written through
-to the behaviour object so the objects never go stale; ``accel_cmd`` and
-``d_target`` are scattered back every step by
+Per-agent state lives in lane-by-slot arrays, packed like every other
+lockstep array (see :class:`repro.sim.batch_state.LaneRegistry`): row
+``i`` is the ``i``-th active lane and agent ``k`` of that lane sits in
+slot ``k``, the layout of the dynamics' actor arrays, so an agent's
+commands, trigger latch and frozen parameters follow its lane through a
+compaction.  On the rare step a trigger flips, the flag is written
+through to the behaviour object so the objects never go stale;
+``accel_cmd`` and ``d_target`` are scattered back every step by
 :meth:`repro.sim.batch_state.BatchDynamics.step` alongside the kinematic
 state.  Behaviour *parameters* are frozen into arrays at construction —
 the same "fixed after scenario build" contract the batch dynamics already
@@ -31,7 +33,7 @@ places on agent lists.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +41,10 @@ from repro.sim.agents import behavior_kind
 from repro.sim.world import World
 from repro.utils.npmath import np_clamp as _np_clamp
 
-#: Registry kinds with a vectorized fast path, in dispatch order.
+#: Registry kinds with a vectorized fast path.  A slot's kind code is its
+#: index here; the two lateral kinds come last.
 _KINDS = ("cruise", "speed_change", "sudden_stop", "cut_in", "lane_change_away")
+_CRUISE, _SPEED_CHANGE, _SUDDEN_STOP, _CUT_IN = range(4)
 
 
 def behavior_refusal(world: World) -> Optional[str]:
@@ -64,10 +68,10 @@ class BehaviorBatch:
     """Lockstep behaviour updates for a fixed set of worlds.
 
     Args:
-        worlds: the per-episode worlds, in batch-lane order.  The global
-            actor layout (lane-major, agent order) must match the flat
-            actor layout :class:`~repro.sim.batch_state.BatchDynamics`
-            builds for the same worlds.
+        worlds: the per-episode worlds, in batch-lane order.  Agent ``k``
+            of lane ``i`` takes slot ``k`` of row ``i``, the slot layout
+            of :class:`~repro.sim.batch_state.BatchDynamics`' actor
+            arrays for the same worlds.
 
     Raises:
         ValueError: naming the first lane :func:`behavior_refusal`
@@ -75,183 +79,114 @@ class BehaviorBatch:
     """
 
     def __init__(self, worlds: Sequence[World]) -> None:
-        actors = []
-        behaviors = []
-        lane_first: List[int] = []
-        lane_count: List[int] = []
         for lane, world in enumerate(worlds):
             why = behavior_refusal(world)
             if why is not None:
                 raise ValueError(f"lane {lane} cannot join the lockstep: {why}")
-            lane_first.append(len(actors))
-            lane_count.append(len(world.agents))
-            for binding in world.agents:
-                actors.append(binding.actor)
-                behaviors.append(binding.behavior)
-        self._behaviors = behaviors
-        self._lane_first = lane_first
-        self._lane_count = lane_count
-        n = len(actors)
+        #: Each lane's behaviours in agent order (trigger write-through).
+        self._behaviors = [[b.behavior for b in w.agents] for w in worlds]
+        n = len(worlds)
+        shape = (n, max((len(w.agents) for w in worlds), default=0))
 
-        # Persistent per-actor state (global index): current commands and
-        # trigger latches.  Commands are seeded from the objects so None
-        # behaviours (which never write) keep their initial values, exactly
-        # as in the scalar loop.
-        self._accel = np.array([a.accel_cmd for a in actors], dtype=float)
-        self._d_target = np.array([a.d_target for a in actors], dtype=float)
-        self._trig = np.array(
-            [bool(getattr(beh, "triggered", False)) for beh in behaviors]
+        #: This class's lane-axis arrays, ``(lanes, slots)`` each: the
+        #: current commands and trigger latches, seeded from the objects
+        #: so None behaviours (which never write) keep their initial
+        #: values, exactly as in the scalar loop; the behaviour kind
+        #: (:data:`_KINDS` index, -1 for none or an empty slot); and the
+        #: frozen parameters, meaningful only in slots of a kind that
+        #: reads them and 0 elsewhere.
+        a = self.arrays = SimpleNamespace(
+            accel=np.zeros(shape),
+            d_target=np.zeros(shape),
+            trig=np.zeros(shape, dtype=bool),
+            kind=np.full(shape, -1, dtype=np.int8),
+            c_speed=np.zeros(shape),      # the (possibly nested) cruise loop
+            c_gain=np.zeros(shape),
+            final=np.zeros(shape),        # speed_change
+            rate=np.zeros(shape),
+            decel=np.zeros(shape),        # sudden_stop
+            trigger_gap=np.zeros(shape),
+            target_d=np.zeros(shape),     # cut_in / lane_change_away
         )
-        self._half_len = np.array([0.5 * a.params.length for a in actors])
-
-        # Frozen behaviour parameters, one column set per fast-path kind.
-        # Only rows of that kind are meaningful; everything else is 0.
-        self._kind_id = np.full(n, -1, dtype=np.int8)
-        self._p = {name: np.zeros(n) for name in (
-            "c_speed", "c_gain",      # the (possibly nested) cruise loop
-            "final", "rate",          # speed_change
-            "decel",                  # sudden_stop
-            "trigger_gap", "target_d",
-        )}
-        for gid, beh in enumerate(behaviors):
-            if beh is None:
-                continue
-            kind = behavior_kind(beh)
-            self._kind_id[gid] = _KINDS.index(kind)
-            p = self._p
-            if kind == "cruise":
-                p["c_speed"][gid] = beh.speed
-                p["c_gain"][gid] = beh.gain
-                continue
-            # Every triggered kind delegates to a nested CruiseBehavior
-            # before / alongside its trigger branch.
-            p["c_speed"][gid] = beh._cruise.speed
-            p["c_gain"][gid] = beh._cruise.gain
-            p["trigger_gap"][gid] = beh.trigger_gap
-            if kind == "speed_change":
-                p["final"][gid] = beh.final_speed
-                p["rate"][gid] = beh.rate
-            elif kind == "sudden_stop":
-                p["decel"][gid] = beh.decel
-            else:  # cut_in / lane_change_away
-                p["target_d"][gid] = beh.target_d
-
-        self._bkey: Optional[tuple] = None
-        self._bound: Optional[SimpleNamespace] = None
-
-    # ------------------------------------------------------------------ #
-    # Active-set binding
-    # ------------------------------------------------------------------ #
-
-    def _bind(self, key: tuple) -> SimpleNamespace:
-        """Row layouts for an active-lane subset (memoized, like the
-        dynamics binding: the active set only changes when a lane ends)."""
-        if key == self._bkey and self._bound is not None:
-            return self._bound
-        m = SimpleNamespace()
-        g: List[int] = []
-        for i in key:
-            first = self._lane_first[i]
-            g.extend(range(first, first + self._lane_count[i]))
-        m.g = np.asarray(g, dtype=np.intp)
-        kid = self._kind_id[m.g]
-        m.kind_rows = [
-            np.nonzero(kid == k)[0] for k in range(len(_KINDS))
-        ]
-        m.half_len = self._half_len[m.g]
-        self._bkey = key
-        self._bound = m
-        return m
+        for i, world in enumerate(worlds):
+            for k, binding in enumerate(world.agents):
+                beh = binding.behavior
+                a.accel[i, k] = binding.actor.accel_cmd
+                a.d_target[i, k] = binding.actor.d_target
+                a.trig[i, k] = bool(getattr(beh, "triggered", False))
+                if beh is None:
+                    continue
+                kind = behavior_kind(beh)
+                a.kind[i, k] = _KINDS.index(kind)
+                # Every triggered kind delegates to a nested CruiseBehavior
+                # before / alongside its trigger branch.
+                cruise = beh if kind == "cruise" else beh._cruise
+                a.c_speed[i, k] = cruise.speed
+                a.c_gain[i, k] = cruise.gain
+                if kind == "cruise":
+                    continue
+                a.trigger_gap[i, k] = beh.trigger_gap
+                if kind == "speed_change":
+                    a.final[i, k] = beh.final_speed
+                    a.rate[i, k] = beh.rate
+                elif kind == "sudden_stop":
+                    a.decel[i, k] = beh.decel
+                else:  # cut_in / lane_change_away
+                    a.target_d[i, k] = beh.target_d
 
     # ------------------------------------------------------------------ #
     # One behaviour phase
     # ------------------------------------------------------------------ #
 
-    def _cruise_accel(self, gk: np.ndarray, a_speed: np.ndarray) -> np.ndarray:
-        """``CruiseBehavior.update``: clamp(gain * (speed - v), -2, 2)."""
-        p = self._p
-        return _np_clamp(p["c_gain"][gk] * (p["c_speed"][gk] - a_speed), -2.0, 2.0)
+    def update(
+        self, lanes: Sequence[int], gap: np.ndarray, a_speed: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Run one behaviour phase for the active lanes.
 
-    def update(self, b: SimpleNamespace, key: tuple) -> Tuple[np.ndarray, np.ndarray]:
-        """Run one behaviour phase for the bound active set.
+        Each kind's ``update`` is evaluated in every slot and selected by
+        the slot's kind, so a selected value is the scalar expression on
+        the same operands.
 
         Args:
-            b: the dynamics binding for ``key`` (supplies the persistent
-                kinematic arrays and the flat actor layout).
-            key: the active-lane tuple.
+            lanes: the global ids of the packed rows, in row order.
+            gap: ``bumper_gap(actor, ego)`` per slot.
+            a_speed: actor speed per slot.
 
         Returns:
-            ``(accel_cmd, d_target)`` float64 arrays aligned with
-            ``b.actors`` — the command state after this phase, identical
-            to what the scalar loop would leave on the actor objects.
+            ``(accel_cmd, d_target)`` per slot — the command state after
+            this phase, identical to what the scalar loop would leave on
+            the actor objects.
         """
-        m = self._bind(key)
-        g = m.g
-        acc = self._accel
-        d_tgt = self._d_target
-        trig = self._trig
-        p = self._p
-        rows_cruise, rows_sc, rows_ss, rows_ci, rows_lc = m.kind_rows
-        if rows_cruise.size or rows_sc.size or rows_ss.size or rows_ci.size or rows_lc.size:
-            # bumper_gap(actor, ego) = actor.rear_s - ego.front_s, with the
-            # scalar association: (a.s - 0.5*len) - (e.s + 0.5*len).
-            ego_front = (b.s + b.ego_half_len)[b.flat_lane]
-            gap = (b.a_s - m.half_len) - ego_front
-            a_speed = b.a_speed
-
-            if rows_cruise.size:
-                gk = g[rows_cruise]
-                acc[gk] = self._cruise_accel(gk, a_speed[rows_cruise])
-
-            if rows_sc.size:
-                gk = g[rows_sc]
-                new_t = trig[gk] | (gap[rows_sc] < p["trigger_gap"][gk])
-                error = p["final"][gk] - a_speed[rows_sc]
-                changed = np.where(
-                    np.abs(error) < 0.05,
-                    0.0,
-                    _np_clamp(error * 2.0, -p["rate"][gk], p["rate"][gk]),
-                )
-                acc[gk] = np.where(
-                    new_t, changed, self._cruise_accel(gk, a_speed[rows_sc])
-                )
-                self._latch(gk, trig, new_t)
-
-            if rows_ss.size:
-                gk = g[rows_ss]
-                new_t = trig[gk] | (gap[rows_ss] < p["trigger_gap"][gk])
-                stopping = np.where(a_speed[rows_ss] > 0.0, -p["decel"][gk], 0.0)
-                acc[gk] = np.where(
-                    new_t, stopping, self._cruise_accel(gk, a_speed[rows_ss])
-                )
-                self._latch(gk, trig, new_t)
-
-            if rows_ci.size:
-                gk = g[rows_ci]
-                acc[gk] = self._cruise_accel(gk, a_speed[rows_ci])
-                fire = (gap[rows_ci] > 0.0) & (gap[rows_ci] < p["trigger_gap"][gk])
-                new_t = trig[gk] | fire
-                d_tgt[gk] = np.where(
-                    new_t & ~trig[gk], p["target_d"][gk], d_tgt[gk]
-                )
-                self._latch(gk, trig, new_t)
-
-            if rows_lc.size:
-                gk = g[rows_lc]
-                acc[gk] = self._cruise_accel(gk, a_speed[rows_lc])
-                new_t = trig[gk] | (gap[rows_lc] < p["trigger_gap"][gk])
-                d_tgt[gk] = np.where(
-                    new_t & ~trig[gk], p["target_d"][gk], d_tgt[gk]
-                )
-                self._latch(gk, trig, new_t)
-
-        return acc[g], d_tgt[g]
-
-    def _latch(self, gk: np.ndarray, trig: np.ndarray, new_t: np.ndarray) -> None:
-        """Commit trigger latches, writing newly-flipped flags through to
-        the behaviour objects (rare: once per behaviour per episode)."""
-        newly = new_t & ~trig[gk]
-        trig[gk] = new_t
+        a = self.arrays
+        kind = a.kind
+        trig = a.trig
+        # CruiseBehavior.update: clamp(gain * (speed - v), -2, 2).
+        cruise = _np_clamp(a.c_gain * (a.c_speed - a_speed), -2.0, 2.0)
+        near = gap < a.trigger_gap
+        fire = np.where(kind == _CUT_IN, (gap > 0.0) & near, near)
+        new_t = trig | (fire & (kind > _CRUISE))
+        error = a.final - a_speed
+        changed = np.where(
+            np.abs(error) < 0.05, 0.0, _np_clamp(error * 2.0, -a.rate, a.rate)
+        )
+        stopping = np.where(a_speed > 0.0, -a.decel, 0.0)
+        a.accel = np.where(
+            new_t & (kind == _SPEED_CHANGE),
+            changed,
+            np.where(
+                new_t & (kind == _SUDDEN_STOP),
+                stopping,
+                np.where(kind >= _CRUISE, cruise, a.accel),
+            ),
+        )
+        # Trigger latches: a lateral kind takes its target lane on the
+        # step its trigger first fires; newly-flipped flags are written
+        # through to the behaviour objects (rare: once per behaviour per
+        # episode).
+        newly = new_t & ~trig
+        a.d_target = np.where(newly & (kind >= _CUT_IN), a.target_d, a.d_target)
+        a.trig = new_t
         if newly.any():
-            for gid in gk[newly].tolist():
-                self._behaviors[gid].triggered = True
+            for row, slot in zip(*np.nonzero(newly)):
+                self._behaviors[lanes[row]][slot].triggered = True
+        return a.accel, a.d_target

@@ -32,6 +32,7 @@ vectorize never joins one (see
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Sequence
 
 import numpy as np
@@ -45,9 +46,10 @@ class BatchHazardMonitor:
 
     Args:
         monitors: per-lane hazard monitors, in batch-lane order.
-        dynamics: the batch integrator whose bound state and
-            ``control_view`` the screen reads (call :meth:`screen` only
-            right after ``dynamics.step`` for the same active set).
+        dynamics: the batch integrator whose state and ``control_view``
+            the screen reads (call :meth:`screen` only right after
+            ``dynamics.step``); the screen's lane-axis arrays go into its
+            registry.
     """
 
     def __init__(
@@ -55,54 +57,54 @@ class BatchHazardMonitor:
     ) -> None:
         self.monitors: List[HazardMonitor] = list(monitors)
         self.dynamics = dynamics
-        self._ttc_thr = np.array([m.ttc_hazard_threshold for m in self.monitors])
-        self._headway = np.array([m.headway_fraction for m in self.monitors])
-        self._lane_thr = np.array([m.lane_distance_hazard for m in self.monitors])
-        self._h1_done = np.array([m.h1.occurred for m in self.monitors])
-        self._h2_done = np.array([m.h2.occurred for m in self.monitors])
+        #: This class's lane-axis arrays: the rules' thresholds and the
+        #: per-lane done bits.
+        self.arrays = dynamics.registry.add(
+            SimpleNamespace(
+                ttc_thr=np.array([m.ttc_hazard_threshold for m in self.monitors]),
+                headway=np.array([m.headway_fraction for m in self.monitors]),
+                lane_thr=np.array([m.lane_distance_hazard for m in self.monitors]),
+                h1_done=np.array([m.h1.occurred for m in self.monitors]),
+                h2_done=np.array([m.h2.occurred for m in self.monitors]),
+            )
+        )
 
     def screen(self, lanes: Sequence[int]) -> List[bool]:
-        """Per-lane "the scalar update could mark or latch something" bits.
+        """Per-row "the scalar update could mark or latch something" bits.
 
-        ``lanes`` must be the active set the dynamics last stepped (its
-        binding and control view are reused, not recomputed).
+        ``lanes`` lists the global ids of the packed rows, in row order;
+        the dynamics' state and control view of its last step are reused,
+        not recomputed.
         """
-        dyn = self.dynamics
-        key = tuple(lanes)
-        view = dyn.control_view
-        if view is None or view.key != key:
+        d = self.dynamics.arrays
+        view = d.view
+        if view is None or len(view.cut_in) != len(lanes):
             raise RuntimeError(
                 "hazard screen requires a control view for the active set; "
                 "call BatchDynamics.step/prime first"
             )
-        b = dyn._bind(key)
-        idx = np.asarray(key, dtype=np.intp)
+        a = self.arrays
 
         # H1: TTC below threshold, or gap below the headway-seconds rule.
         lead = view.leads["sensor"]  # world.lead_actor()'s corridor
-        speed = b.speed
+        speed = d.speed
         closing = speed - lead.speed
         with np.errstate(divide="ignore", invalid="ignore"):
-            ttc_fire = (closing > 0.3) & (
-                lead.gap / closing < self._ttc_thr[idx]
-            )
-        h1 = lead.valid & (ttc_fire | (lead.gap < self._headway[idx] * speed))
+            ttc_fire = (closing > 0.3) & (lead.gap / closing < a.ttc_thr)
+        h1 = lead.valid & (ttc_fire | (lead.gap < a.headway * speed))
 
         # H2: a body side within the lane-line hazard distance.
-        h2 = (
-            np.minimum(view.dist_right, view.dist_left) < self._lane_thr[idx]
-        )
+        h2 = np.minimum(view.dist_right, view.dist_left) < a.lane_thr
 
         # A1/A2: the world latches the batch detectors already maintain.
-        accident = ~b.coll_open | b.off_road_latch
+        accident = ~d.coll_open | d.off_road_latch
 
-        flags = (
-            (h1 & ~self._h1_done[idx]) | (h2 & ~self._h2_done[idx]) | accident
-        )
+        flags = (h1 & ~a.h1_done) | (h2 & ~a.h2_done) | accident
         return flags.tolist()
 
-    def refresh(self, lane: int) -> None:
-        """Re-read a lane's scalar records after its monitor ran."""
+    def refresh(self, row: int, lane: int) -> None:
+        """Re-read lane ``lane``'s scalar records into packed row ``row``
+        after its monitor ran."""
         monitor = self.monitors[lane]
-        self._h1_done[lane] = monitor.h1.occurred
-        self._h2_done[lane] = monitor.h2.occurred
+        self.arrays.h1_done[row] = monitor.h1.occurred
+        self.arrays.h2_done[row] = monitor.h2.occurred

@@ -33,10 +33,17 @@ Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
 Campaigns can mix ML arms (distinct factories → distinct weights), so
 lanes are grouped by baseline identity and each group batches its own
 forward; the CUSUM bookkeeping stays lane-wide across groups.
+
+The state is packed like every lockstep array (see
+:class:`repro.sim.batch_state.LaneRegistry`): one row per active lane,
+ML or not, so the control stack hands over whole-width feature rows and
+one compaction keeps this state aligned with the rest.  A non-ML row
+keeps a window nobody reads and never joins a forward.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +84,6 @@ class BatchMitigation:
 
     def __init__(self, platforms: Sequence, lanes: Sequence[int]) -> None:
         self.platforms = list(platforms)
-        self.lanes = frozenset(lanes)
         n = len(self.platforms)
         for lane in lanes:
             ctl = self.platforms[lane].ml_controller
@@ -88,51 +94,54 @@ class BatchMitigation:
                     f"LstmNetwork, got {type(ctl).__name__}"
                 )
 
-        def arr(get) -> np.ndarray:
-            out = np.zeros(n)
-            for lane in lanes:
-                out[lane] = float(get(self.platforms[lane].ml_controller))
-            return out
+        #: Forward groups: lanes sharing one network batch one matmul.
+        self._nets: List[LstmNetwork] = []
+        by_net: Dict[int, int] = {}
 
-        # Algorithm 1 constants, full width (non-ML entries unused).
-        self._tau = arr(lambda c: c.params.tau)
-        self._bias = arr(lambda c: c.params.bias)
-        self._accel_w = arr(lambda c: c.params.accel_weight)
-        self._steer_w = arr(lambda c: c.params.steer_weight)
-        self._max_accel = arr(lambda c: c.params.max_accel)
-        self._min_accel = arr(lambda c: c.params.min_accel)
-        self._max_steer = arr(lambda c: c.params.max_steer)
-
-        # Scaler rows per lane (broadcast elementwise — bit-exact).
-        self._f_mean = np.zeros((n, _N_FEATURES))
-        self._f_std = np.ones((n, _N_FEATURES))
-        self._t_mean = np.zeros((n, 2))
-        self._t_std = np.ones((n, 2))
+        #: This class's lane-axis arrays.  ``group`` indexes
+        #: :attr:`_nets` (-1 on a non-ML row); the Algorithm 1 constants
+        #: and scaler rows are meaningful on ML rows only.  The window is
+        #: a slide-left ring: row WINDOW-1 is the newest sample and rows
+        #: [WINDOW-count:] hold the scalar list's contents in order.
+        a = self.arrays = SimpleNamespace(
+            group=np.full(n, -1, dtype=np.int64),
+            tau=np.zeros(n),
+            bias=np.zeros(n),
+            accel_w=np.zeros(n),
+            steer_w=np.zeros(n),
+            max_accel=np.zeros(n),
+            min_accel=np.zeros(n),
+            max_steer=np.zeros(n),
+            f_mean=np.zeros((n, _N_FEATURES)),
+            f_std=np.ones((n, _N_FEATURES)),
+            t_mean=np.zeros((n, 2)),
+            t_std=np.ones((n, 2)),
+            window=np.zeros((n, WINDOW, _N_FEATURES)),
+            count=np.zeros(n, dtype=np.int64),
+            s=np.zeros(n),
+            recovery=np.zeros(n, dtype=bool),
+            activations=np.zeros(n, dtype=np.int64),
+        )
         for lane in lanes:
-            b = self.platforms[lane].ml_controller.baseline
-            self._f_mean[lane] = np.asarray(b.feature_mean, dtype=np.float64)
-            self._f_std[lane] = np.asarray(b.feature_std, dtype=np.float64)
-            self._t_mean[lane] = np.asarray(b.target_mean, dtype=np.float64)
-            self._t_std[lane] = np.asarray(b.target_std, dtype=np.float64)
-
-        # Forward groups: lanes sharing one network batch one matmul.
-        self._groups: List[Tuple[LstmNetwork, frozenset]] = []
-        by_net: Dict[int, Tuple[LstmNetwork, List[int]]] = {}
-        for lane in lanes:
-            net = self.platforms[lane].ml_controller.baseline.network
-            by_net.setdefault(id(net), (net, []))[1].append(lane)
-        for net, members in by_net.values():
-            self._groups.append((net, frozenset(members)))
-
-        # Mutable Algorithm 1 state (the reset state; see class docstring).
-        # The window is a slide-left ring: row WINDOW-1 is the newest
-        # sample and rows [WINDOW-count:] hold the scalar list's contents
-        # in order.
-        self._window = np.zeros((n, WINDOW, _N_FEATURES))
-        self._count = np.zeros(n, dtype=np.int64)
-        self._s = np.zeros(n)
-        self._recovery = np.zeros(n, dtype=bool)
-        self._activations = np.zeros(n, dtype=np.int64)
+            ctl = self.platforms[lane].ml_controller
+            params, b = ctl.params, ctl.baseline
+            net = b.network
+            if id(net) not in by_net:
+                by_net[id(net)] = len(self._nets)
+                self._nets.append(net)
+            a.group[lane] = by_net[id(net)]
+            a.tau[lane] = params.tau
+            a.bias[lane] = params.bias
+            a.accel_w[lane] = params.accel_weight
+            a.steer_w[lane] = params.steer_weight
+            a.max_accel[lane] = params.max_accel
+            a.min_accel[lane] = params.min_accel
+            a.max_steer[lane] = params.max_steer
+            # Scaler rows per lane (broadcast elementwise — bit-exact).
+            a.f_mean[lane] = np.asarray(b.feature_mean, dtype=np.float64)
+            a.f_std[lane] = np.asarray(b.feature_std, dtype=np.float64)
+            a.t_mean[lane] = np.asarray(b.target_mean, dtype=np.float64)
+            a.t_std[lane] = np.asarray(b.target_std, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # One vectorized Algorithm 1 tick
@@ -140,94 +149,86 @@ class BatchMitigation:
 
     def step(
         self,
-        lanes: Tuple[int, ...],
         features: np.ndarray,
         y_accel: np.ndarray,
         y_steer: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One control cycle for the given ML lanes.
+        """One control cycle for every active lane.
 
         Args:
-            lanes: global lane ids (each must be in :attr:`lanes`).
-            features: ``(len(lanes), len(FEATURE_NAMES))`` fault-free
-                feature rows, in ``lanes`` order.
-            y_accel / y_steer: the lanes' OP commands this cycle.
+            features: ``(rows, len(FEATURE_NAMES))`` fault-free feature
+                rows, one per packed row.
+            y_accel / y_steer: the rows' OP commands this cycle.
 
         Returns:
-            ``(recovery, ml_accel, ml_steer)`` arrays over ``lanes``;
-            warm-up lanes mirror the OP command with recovery False.
+            ``(recovery, ml_accel, ml_steer)`` per row; warm-up and
+            non-ML rows mirror the OP command with recovery False.
         """
-        idx = np.asarray(lanes, dtype=np.intp)
-        buf = self._window
-        buf[idx, :-1] = buf[idx, 1:]
-        buf[idx, -1] = features
-        count = np.minimum(self._count[idx] + 1, WINDOW)
-        self._count[idx] = count
+        a = self.arrays
+        buf = a.window
+        buf[:, :-1] = buf[:, 1:]
+        buf[:, -1] = features
+        a.count = np.minimum(a.count + 1, WINDOW)
 
         ml_accel = y_accel.copy()
         ml_steer = y_steer.copy()
-        recovery = np.zeros(len(lanes), dtype=bool)
-        full = count >= WINDOW
-        if not full.any():
+        recovery = np.zeros(len(features), dtype=bool)
+        full = np.flatnonzero((a.count >= WINDOW) & (a.group >= 0))
+        if not full.size:
             return recovery, ml_accel, ml_steer
-        fpos = np.nonzero(full)[0]
-        flanes = idx[fpos]
 
         # predict(): normalise -> forward -> denormalise (all elementwise
         # except the forward, whose rows are exact by construction).
-        x = (buf[flanes] - self._f_mean[flanes][:, None, :]) / self._f_std[
-            flanes
-        ][:, None, :]
-        y = np.empty((len(flanes), 2))
-        for net, members in self._groups:
-            rows = np.nonzero(
-                [lane in members for lane in flanes.tolist()]
-            )[0]
+        x = (buf[full] - a.f_mean[full][:, None, :]) / a.f_std[full][:, None, :]
+        y = np.empty((len(full), 2))
+        group = a.group[full]
+        for g, net in enumerate(self._nets):
+            rows = np.flatnonzero(group == g)
             if rows.size:
                 y[rows] = net.forward(x[rows])
-        y = y * self._t_std[flanes] + self._t_mean[flanes]
+        y = y * a.t_std[full] + a.t_mean[full]
 
-        accel_ml = np_clamp(y[:, 0], self._min_accel[flanes], self._max_accel[flanes])
-        steer_ml = np_clamp(
-            y[:, 1], -self._max_steer[flanes], self._max_steer[flanes]
-        )
+        accel_ml = np_clamp(y[:, 0], a.min_accel[full], a.max_accel[full])
+        steer_ml = np_clamp(y[:, 1], -a.max_steer[full], a.max_steer[full])
 
-        delta = self._accel_w[flanes] * np.abs(
-            accel_ml - y_accel[fpos]
-        ) + self._steer_w[flanes] * np.abs(steer_ml - y_steer[fpos])
+        delta = a.accel_w[full] * np.abs(
+            accel_ml - y_accel[full]
+        ) + a.steer_w[full] * np.abs(steer_ml - y_steer[full])
         # max(0.0, v): Python max returns the *first* argument on ties, so
         # v == 0.0 and v == -0.0 both map to +0.0.
-        grown = self._s[flanes] + delta - self._bias[flanes]
+        grown = a.s[full] + delta - a.bias[full]
         s = np.where(grown > 0.0, grown, 0.0)
 
-        rec = self._recovery[flanes]
-        activate = ~rec & (s > self._tau[flanes])
-        exit_ = rec & (delta <= self._bias[flanes])  # disjoint from activate
-        self._recovery[flanes] = (rec | activate) & ~exit_
-        self._s[flanes] = np.where(exit_, 0.0, s)
-        self._activations[flanes] += activate
+        rec = a.recovery[full]
+        activate = ~rec & (s > a.tau[full])
+        exit_ = rec & (delta <= a.bias[full])  # disjoint from activate
+        a.recovery[full] = (rec | activate) & ~exit_
+        a.s[full] = np.where(exit_, 0.0, s)
+        a.activations[full] += activate
 
-        ml_accel[fpos] = accel_ml
-        ml_steer[fpos] = steer_ml
-        recovery[fpos] = self._recovery[flanes]
+        ml_accel[full] = accel_ml
+        ml_steer[full] = steer_ml
+        recovery[full] = a.recovery[full]
         return recovery, ml_accel, ml_steer
 
     # ------------------------------------------------------------------ #
     # Retirement write-through
     # ------------------------------------------------------------------ #
 
-    def retire(self, lane: int) -> None:
-        """Write a finished lane's Algorithm 1 state back to its controller.
+    def retire(self, row: int, lane: int) -> None:
+        """Write lane ``lane``'s Algorithm 1 state, at packed row ``row``,
+        back to its controller; a non-ML row has none.
 
         After this the scalar :class:`MitigationController` looks exactly
         as if the serial path had run the episode (window contents, CUSUM
         accumulator, recovery flag and activation count included).
         """
-        if lane not in self.lanes:
+        a = self.arrays
+        if a.group[row] < 0:
             return
         ctl = self.platforms[lane].ml_controller
-        count = int(self._count[lane])
-        ctl._window = [row.tolist() for row in self._window[lane, WINDOW - count :]]
-        ctl._s = float(self._s[lane])
-        ctl.recovery = bool(self._recovery[lane])
-        ctl.activations = int(self._activations[lane])
+        count = int(a.count[row])
+        ctl._window = [r.tolist() for r in a.window[row, WINDOW - count :]]
+        ctl._s = float(a.s[row])
+        ctl.recovery = bool(a.recovery[row])
+        ctl.activations = int(a.activations[row])

@@ -13,6 +13,17 @@ cut-in screen — for all lanes at once into
 Scalar callers (hazard-flagged lanes, lanes handed off to the scalar loop)
 run the world's own queries on the synced objects.
 
+Every lane-axis array of the lockstep is *packed*: row ``j`` belongs to
+the ``j``-th active lane, and the ``lanes`` argument of the step methods
+lists the global ids of the rows, in row order.  Each batch class keeps
+its arrays in one namespace registered with the lockstep's
+:class:`LaneRegistry`; when lanes retire, one
+:meth:`LaneRegistry.compact` call keeps the survivors' rows of every
+registered array, so a tick never gathers or scatters by lane id.  A
+lane's traffic actors sit in the slots of its row (agent ``k`` in slot
+``k``, unused slots masked off), so they follow their lane through a
+compaction.
+
 The perception/control/safety stack is vectorized in
 :mod:`repro.sim.batch_control`, which reads the control view.  The batch
 path produces **bit-identical** episode results to the serial path:
@@ -58,15 +69,68 @@ from repro.utils.npmath import (
 from repro.utils.units import G
 
 
+class LaneRegistry:
+    """Every lane-axis array of one lockstep, packed to its active lanes.
+
+    Each batch class keeps its per-lane state in one namespace, its
+    *table*, registered here.  A table holds only arrays whose first axis
+    is the lockstep's current :attr:`width` (or dicts and namespaces of
+    such arrays, or None), so that :meth:`compact` can keep the
+    survivors' rows of all of them at once.
+
+    Args:
+        width: the lockstep's lane count at construction.
+    """
+
+    def __init__(self, width: int) -> None:
+        #: Rows of every registered array (the active-lane count).
+        self.width = width
+        self._tables: List[SimpleNamespace] = []
+
+    def add(self, table: SimpleNamespace) -> SimpleNamespace:
+        """Register ``table`` and return it."""
+        self._tables.append(table)
+        return table
+
+    def compact(self, rows: Sequence[int]) -> None:
+        """Keep ``rows`` (row positions, in their new order) of every array.
+
+        Raises:
+            ValueError: naming a registered array whose first axis is not
+                the lane axis.
+        """
+        take = np.asarray(rows, dtype=np.intp)
+        for table in self._tables:
+            for name, value in list(vars(table).items()):
+                setattr(table, name, self._take(name, value, take))
+        self.width = len(take)
+
+    def _take(self, name: str, value, take: np.ndarray):
+        if isinstance(value, np.ndarray):
+            if value.shape[:1] != (self.width,):
+                raise ValueError(
+                    f"{name} has shape {value.shape}, not {self.width} lane rows"
+                )
+            return value[take]
+        if isinstance(value, dict):
+            return {k: self._take(f"{name}[{k!r}]", v, take) for k, v in value.items()}
+        if isinstance(value, SimpleNamespace):
+            return SimpleNamespace(
+                **{k: self._take(f"{name}.{k}", v, take) for k, v in vars(value).items()}
+            )
+        if value is None:
+            return None
+        raise ValueError(f"{name} is a {type(value).__name__}, not a lane-axis array")
+
+
 class BatchDynamics:
     """Lockstep integrator for a fixed set of worlds.
 
     Args:
         worlds: the per-episode worlds.  Their parameter tables (vehicle,
-            powertrain, road geometry, friction) are frozen into arrays at
-            construction; their state is gathered when an active subset
-            is bound and scattered back on every :meth:`step`, so lanes
-            may be stepped in any active subset.
+            powertrain, road geometry, friction) and their state are read
+            into packed arrays at construction; the state is scattered back
+            onto the objects on every :meth:`step`.
         curvature_lookaheads: per-lane perception curvature look-ahead [m]
             (``GroundTruthSensor.road_curvature``'s argument).
         radar_leads: also compute the independent-radar lead corridor
@@ -96,216 +160,155 @@ class BatchDynamics:
         egos = [w.ego for w in self.worlds]
         n = len(egos)
 
-        self._mu = np.array([w.friction.mu for w in self.worlds])
-        self._wheelbase = np.array([e.params.wheelbase for e in egos])
-        self._adas_rate = np.array([e.params.adas_steer_rate for e in egos])
-        self._driver_rate = np.array([e.params.driver_steer_rate for e in egos])
-        self._lat_frac = np.array([e.params.lateral_friction_fraction for e in egos])
-        self._emergency_decel = np.array([e.EMERGENCY_BRAKE_DECEL for e in egos])
-        self._ego_half_len = np.array([0.5 * e.params.length for e in egos])
-        self._ego_half_wid = np.array([0.5 * e.params.width for e in egos])
+        #: The lockstep's lane-axis arrays; the control stack and the
+        #: hazard screen register theirs here too.
+        self.registry = LaneRegistry(n)
+        #: Vectorized behaviour updates.
+        self.behaviors = BehaviorBatch(self.worlds)
+        self.registry.add(self.behaviors.arrays)
+        #: This class's lane-axis arrays (see :class:`LaneRegistry`).
+        a = self.arrays = self.registry.add(SimpleNamespace())
+
+        a.mu_g = np.array([w.friction.mu for w in self.worlds]) * G
+        a.wheelbase = np.array([e.params.wheelbase for e in egos])
+        a.adas_rate = np.array([e.params.adas_steer_rate for e in egos])
+        a.driver_rate = np.array([e.params.driver_steer_rate for e in egos])
+        a.lat_frac = np.array([e.params.lateral_friction_fraction for e in egos])
+        a.emergency_decel = np.array([e.EMERGENCY_BRAKE_DECEL for e in egos])
+        a.ego_half_len = np.array([0.5 * e.params.length for e in egos])
+        a.ego_half_wid = np.array([0.5 * e.params.width for e in egos])
 
         pt = [e.powertrain.params for e in egos]
         knot_count = max(len(p.engine_speed_knots) for p in pt)
         # Knot tables are padded to a shared width: +inf speeds with the
         # last acceleration value repeated, which is exactly the clamped
         # out-of-range behaviour of ``mathx.interp1d``.
-        eng_xs = np.full((n, knot_count), np.inf)
-        eng_ys = np.zeros((n, knot_count))
+        a.eng_xs = np.full((n, knot_count), np.inf)
+        a.eng_ys = np.zeros((n, knot_count))
         for i, params in enumerate(pt):
             k = len(params.engine_speed_knots)
-            eng_xs[i, :k] = params.engine_speed_knots
-            eng_ys[i, :k] = params.engine_accel_knots
-            eng_ys[i, k:] = params.engine_accel_knots[-1]
-        self._eng_xs = eng_xs
-        self._eng_ys = eng_ys
-        self._eng_x_last = np.array([p.engine_speed_knots[-1] for p in pt])
-        self._eng_y_last = np.array([p.engine_accel_knots[-1] for p in pt])
-        self._max_brake = np.array([p.max_brake_decel for p in pt])
-        self._brake_lag = np.array([p.brake_lag for p in pt])
-        self._roll_res = np.array([p.rolling_resistance for p in pt])
-        self._drag_coef = np.array([p.drag_coefficient for p in pt])
+            a.eng_xs[i, :k] = params.engine_speed_knots
+            a.eng_ys[i, :k] = params.engine_accel_knots
+            a.eng_ys[i, k:] = params.engine_accel_knots[-1]
+        a.eng_x_last = np.array([p.engine_speed_knots[-1] for p in pt])
+        a.eng_y_last = np.array([p.engine_accel_knots[-1] for p in pt])
+        a.max_brake = np.array([p.max_brake_decel for p in pt])
+        a.brake_lag = np.array([p.brake_lag for p in pt])
+        a.roll_res = np.array([p.rolling_resistance for p in pt])
+        a.drag_coef = np.array([p.drag_coefficient for p in pt])
 
         roads = [w.road for w in self.worlds]
         seg_count = max(len(r.segments) for r in roads)
         # Segment-start tables padded with +inf so padded columns never
         # match the ``start <= s`` count used to replicate bisect_right.
-        starts = np.full((n, seg_count), np.inf)
-        curv = np.zeros((n, seg_count))
+        a.seg_starts = np.full((n, seg_count), np.inf)
+        a.seg_curv = np.zeros((n, seg_count))
         for i, road in enumerate(roads):
             k = len(road.segments)
-            starts[i, :k] = road._starts
-            curv[i, :k] = [seg.curvature for seg in road.segments]
-            curv[i, k:] = road.segments[-1].curvature
-        self._seg_starts = starts
-        self._seg_curv = curv
-        self._seg_n = np.array([len(r.segments) for r in roads])
-        self._road_len = np.array([r.length for r in roads])
-        self._lane_width = np.array([r.lane_width for r in roads])
-        self._max_lane = np.array([float(r.num_lanes - 1) for r in roads])
-
-        # Traffic actor slots (agent lists are fixed after scenario build).
-        self._actors_by_lane = [[b.actor for b in w.agents] for w in self.worlds]
-        # Vectorized behaviour updates.
-        self.behaviors = BehaviorBatch(self.worlds)
-
-        # Lead corridors computed each step, by name: the sensor's (also
-        # the hazard monitor's ``world.lead_actor()``), plus the radar and
-        # human corridors when some lane reads them.
-        self._lead_range = np.array([float(w.LEAD_RANGE) for w in self.worlds])
-        self._corridors = {
-            "sensor": np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])
-        }
-        if radar_leads:
-            self._corridors["radar"] = np.full(n, RADAR_CORRIDOR)
-        if human_leads:
-            self._corridors["human"] = np.full(n, HUMAN_CORRIDOR)
-        self._curv_la = np.array([float(v) for v in curvature_lookaheads])
-
-        #: Latched actuator commands by lane, the array twin of
-        #: ``EgoVehicle.apply_controls``: the control stack writes them
-        #: every tick and :meth:`step` reads them.  Zero until then, like a
-        #: fresh ego's latch.
-        self.accel_cmd = np.zeros(n)
-        self.steer_cmd = np.zeros(n)
-        self.driver_steering = np.zeros(n, dtype=bool)
-
-        self._bound_key: Optional[tuple] = None
-        self._bound: Optional[SimpleNamespace] = None
-        #: World queries of the latest :meth:`step` or :meth:`prime`, as
-        #: arrays over its active set (see :meth:`_update_view`).  ``None``
-        #: until the first of them.
-        self.control_view: Optional[SimpleNamespace] = None
-
-    # ------------------------------------------------------------------ #
-    # Active-set binding (constant tables gathered per active subset)
-    # ------------------------------------------------------------------ #
-
-    def _bind(self, lanes: Sequence[int]) -> SimpleNamespace:
-        """Gather constant tables for an active-lane subset (memoized).
-
-        The active set only changes when a lane finishes, so the fancy
-        indexing here runs a handful of times per campaign instead of once
-        per step.
-        """
-        key = tuple(lanes)
-        if key == self._bound_key and self._bound is not None:
-            return self._bound
-        idx = np.asarray(key, dtype=np.intp)
-        b = SimpleNamespace()
-        b.idx = idx
-        b.worlds = [self.worlds[i] for i in key]
-        b.egos = [w.ego for w in b.worlds]
-        b.mu_g = self._mu[idx] * G
-        b.wheelbase = self._wheelbase[idx]
-        b.adas_rate = self._adas_rate[idx]
-        b.driver_rate = self._driver_rate[idx]
-        b.lat_frac = self._lat_frac[idx]
-        b.emergency_decel = self._emergency_decel[idx]
-        b.ego_half_len = self._ego_half_len[idx]
-        b.ego_half_wid = self._ego_half_wid[idx]
-        b.eng_xs = self._eng_xs[idx]
-        b.eng_ys = self._eng_ys[idx]
-        b.eng_x_last = self._eng_x_last[idx]
-        b.eng_y_last = self._eng_y_last[idx]
-        b.max_brake = self._max_brake[idx]
-        b.brake_lag = self._brake_lag[idx]
-        b.roll_res = self._roll_res[idx]
-        b.drag_coef = self._drag_coef[idx]
-        b.seg_starts = self._seg_starts[idx]
-        b.seg_curv = self._seg_curv[idx]
-        b.seg_curv_flat = b.seg_curv.ravel()
-        b.seg_row_offset = np.arange(len(key), dtype=np.intp) * b.seg_curv.shape[1]
-        b.seg_last = self._seg_n[idx] - 1
-        b.road_len = self._road_len[idx]
-        b.lane_width = self._lane_width[idx]
-        b.half_lane = 0.5 * b.lane_width
-        b.max_lane = self._max_lane[idx]
-
-        # Flat actor layout + padded slot tables for the lead queries.
-        b.actors = []
-        flat_lane: List[int] = []
-        flat_slot: List[int] = []
-        for j, i in enumerate(key):
-            for slot, actor in enumerate(self._actors_by_lane[i]):
-                b.actors.append(actor)
-                flat_lane.append(j)
-                flat_slot.append(slot)
-        n_active = len(key)
-        b.max_slots = max(
-            (len(self._actors_by_lane[i]) for i in key), default=0
-        )
-        b.flat_lane = np.asarray(flat_lane, dtype=np.intp)
-        b.flat_slot = np.asarray(flat_slot, dtype=np.intp)
-        b.actor_limit = b.mu_g[b.flat_lane]
-        b.valid = np.zeros((n_active, b.max_slots), dtype=bool)
-        b.slot_len = np.zeros((n_active, b.max_slots))
-        b.slot_wid = np.zeros((n_active, b.max_slots))
-        if b.actors:
-            b.valid[b.flat_lane, b.flat_slot] = True
-            b.slot_len[b.flat_lane, b.flat_slot] = [
-                a.params.length for a in b.actors
-            ]
-            b.slot_wid[b.flat_lane, b.flat_slot] = [
-                a.params.width for a in b.actors
-            ]
-        b.slot_half_len = 0.5 * b.slot_len
-        b.slot_half_wid = 0.5 * b.slot_wid
-        b.actor_rate = np.array([a.lane_change_rate for a in b.actors])
+            a.seg_starts[i, :k] = road._starts
+            a.seg_curv[i, :k] = [seg.curvature for seg in road.segments]
+            a.seg_curv[i, k:] = road.segments[-1].curvature
+        a.seg_last = np.array([len(r.segments) - 1 for r in roads])
+        a.road_len = np.array([r.length for r in roads])
+        a.lane_width = np.array([r.lane_width for r in roads])
+        a.half_lane = 0.5 * a.lane_width
+        a.max_lane = np.array([float(r.num_lanes - 1) for r in roads])
 
         # Departure-test bounds, pre-combined with the per-world margin
         # using the same arithmetic as ``World._detect_departure``.
-        lane0 = [w.road.lane_bounds(0) for w in b.worlds]
-        roadb = [w.road.road_bounds() for w in b.worlds]
-        margin = np.array([w.OFF_LANE_MARGIN for w in b.worlds])
-        b.off_lane_lo = np.array([bounds[0] for bounds in lane0]) - margin
-        b.off_lane_hi = np.array([bounds[1] for bounds in lane0]) + margin
-        b.road_right = np.array([bounds[0] for bounds in roadb])
-        b.road_left = np.array([bounds[1] for bounds in roadb])
+        lane0 = [r.lane_bounds(0) for r in roads]
+        roadb = [r.road_bounds() for r in roads]
+        margin = np.array([w.OFF_LANE_MARGIN for w in self.worlds])
+        a.off_lane_lo = np.array([bounds[0] for bounds in lane0]) - margin
+        a.off_lane_hi = np.array([bounds[1] for bounds in lane0]) + margin
+        a.road_right = np.array([bounds[0] for bounds in roadb])
+        a.road_left = np.array([bounds[1] for bounds in roadb])
 
         # Detection latches mirroring each world's flags: once a lane has a
         # collision / both departure flags, its scalar detector would
         # short-circuit or be idempotent, so the batch test skips it.
-        b.coll_open = np.array([w.collision is None for w in b.worlds])
-        b.off_lane_latch = np.array([w.off_lane for w in b.worlds])
-        b.off_road_latch = np.array([w.off_road for w in b.worlds])
+        a.coll_open = np.array([w.collision is None for w in self.worlds])
+        a.off_lane_latch = np.array([w.off_lane for w in self.worlds])
+        a.off_road_latch = np.array([w.off_road for w in self.worlds])
 
-        # Persistent dynamic-state arrays.  These fields are written *only*
-        # by the integrate (the control stack writes the command arrays),
-        # so within one binding they stay authoritative.
-        b.steer = np.array([e.steer for e in b.egos])
-        b.speed = np.array([e.speed for e in b.egos])
-        b.s = np.array([e.s for e in b.egos])
-        b.d = np.array([e.d for e in b.egos])
-        b.psi = np.array([e.psi for e in b.egos])
-        b.brake_decel = np.array([e.powertrain._brake_decel for e in b.egos])
-        b.a_speed = np.array([a.speed for a in b.actors])
-        b.a_s = np.array([a.s for a in b.actors])
-        b.a_d = np.array([a.d for a in b.actors])
+        # Lead corridors computed each step, by name: the sensor's (also
+        # the hazard monitor's ``world.lead_actor()``), plus the radar and
+        # human corridors when some lane reads them.
+        a.lead_range = np.array([float(w.LEAD_RANGE) for w in self.worlds])
+        a.corridors = {
+            "sensor": np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])
+        }
+        if radar_leads:
+            a.corridors["radar"] = np.full(n, RADAR_CORRIDOR)
+        if human_leads:
+            a.corridors["human"] = np.full(n, HUMAN_CORRIDOR)
+        a.curv_la = np.array([float(v) for v in curvature_lookaheads])
 
-        b.lead_range = self._lead_range[idx]
-        b.corridors = {name: corr[idx] for name, corr in self._corridors.items()}
-        b.curv_la = self._curv_la[idx]
+        # Ego state.  Written *only* by the integrate (the control stack
+        # writes the command arrays), so the arrays stay authoritative.
+        a.steer = np.array([e.steer for e in egos])
+        a.speed = np.array([e.speed for e in egos])
+        a.s = np.array([e.s for e in egos])
+        a.d = np.array([e.d for e in egos])
+        a.psi = np.array([e.psi for e in egos])
+        a.brake_decel = np.array([e.powertrain._brake_decel for e in egos])
 
-        self._bound_key = key
-        self._bound = b
-        return b
+        # Traffic actors: lane-by-slot tables, agent order within a lane
+        # (agent lists are fixed after scenario build).
+        self._actors = [[b.actor for b in w.agents] for w in self.worlds]
+        slots = max(len(actors) for actors in self._actors)
+        a.valid = np.zeros((n, slots), dtype=bool)
+        a.slot_len = np.zeros((n, slots))
+        slot_wid = np.zeros((n, slots))
+        a.actor_rate = np.zeros((n, slots))
+        a.a_speed = np.zeros((n, slots))
+        a.a_s = np.zeros((n, slots))
+        a.a_d = np.zeros((n, slots))
+        for i, actors in enumerate(self._actors):
+            for slot, actor in enumerate(actors):
+                a.valid[i, slot] = True
+                a.slot_len[i, slot] = actor.params.length
+                slot_wid[i, slot] = actor.params.width
+                a.actor_rate[i, slot] = actor.lane_change_rate
+                a.a_speed[i, slot] = actor.speed
+                a.a_s[i, slot] = actor.s
+                a.a_d[i, slot] = actor.d
+        a.slot_half_len = 0.5 * a.slot_len
+        a.slot_half_wid = 0.5 * slot_wid
+
+        #: Latched actuator commands, the array twin of
+        #: ``EgoVehicle.apply_controls``: the control stack writes them
+        #: every tick and :meth:`step` reads them.  Zero until then, like a
+        #: fresh ego's latch.
+        a.accel_cmd = np.zeros(n)
+        a.steer_cmd = np.zeros(n)
+        a.driver_steering = np.zeros(n, dtype=bool)
+
+        # The world queries of the latest step or prime (_update_view).
+        a.view = None
+
+    @property
+    def control_view(self) -> Optional[SimpleNamespace]:
+        """World queries of the latest :meth:`step` or :meth:`prime`, one
+        row per active lane (see :meth:`_update_view`); None until the
+        first of them."""
+        return self.arrays.view
 
     # ------------------------------------------------------------------ #
     # Vectorized lookups
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _engine_accel(b: SimpleNamespace, speed: np.ndarray) -> np.ndarray:
+    def _engine_accel(self, speed: np.ndarray) -> np.ndarray:
         """``Powertrain.max_engine_accel`` for each active lane.
 
         Replicates ``mathx.interp1d`` exactly: boundary clamp first, then
         first-match segment selection with the same ``t = (x-x0)/(x1-x0)``
         arithmetic.
         """
-        xs, ys = b.eng_xs, b.eng_ys
-        out = b.eng_y_last.copy()
-        done = speed >= b.eng_x_last
+        a = self.arrays
+        xs, ys = a.eng_xs, a.eng_ys
+        out = a.eng_y_last.copy()
+        done = speed >= a.eng_x_last
         low = ~done & (speed <= xs[:, 0])
         out = np.where(low, ys[:, 0], out)
         done |= low
@@ -319,66 +322,71 @@ class BatchDynamics:
                 done |= seg
         return out
 
-    @staticmethod
-    def _curvature(b: SimpleNamespace, s: np.ndarray) -> np.ndarray:
-        """``Road.curvature_at`` for each active lane.
+    def _curvature(self, s: np.ndarray) -> np.ndarray:
+        """``Road.curvature_at`` for each active lane, at every entry of
+        ``s`` (shape ``(..., lanes)``).
 
         ``bisect_right(starts, s) - 1`` equals the count of segment starts
         ``<= s`` minus one; the boundary overrides replicate
         ``segment_index_at``'s clamping.
         """
-        seg_idx = np.sum(b.seg_starts <= s[:, None], axis=1) - 1
+        a = self.arrays
+        seg_idx = np.sum(a.seg_starts <= s[..., None], axis=-1) - 1
         seg_idx = np.where(s <= 0.0, 0, seg_idx)
-        seg_idx = np.where(s >= b.road_len, b.seg_last, seg_idx)
-        return b.seg_curv_flat[seg_idx + b.seg_row_offset]
+        seg_idx = np.where(s >= a.road_len, a.seg_last, seg_idx)
+        return a.seg_curv[np.arange(len(a.seg_curv)), seg_idx]
 
     # ------------------------------------------------------------------ #
     # Lockstep advance
     # ------------------------------------------------------------------ #
 
     def step(self, lanes: Sequence[int], dt: float) -> None:
-        """Advance the given lanes by ``dt`` (the batch ``World.step``).
+        """Advance the active lanes by ``dt`` (the batch ``World.step``).
 
+        ``lanes`` lists the global ids of the packed rows, in row order.
         Order per lane is identical to ``World.step``: behaviours, ego
-        integrate (on the latched :attr:`accel_cmd`, :attr:`steer_cmd` and
-        :attr:`driver_steering`), actor integrate, time advance, collision
-        detection, departure detection — then the control-view update.
+        integrate (on the latched command arrays), actor integrate, time
+        advance, collision detection, departure detection — then the
+        control-view update.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        b = self._bind(lanes)
-        key = self._bound_key
+        a = self.arrays
+        worlds = self.worlds
+        has_slots = a.valid.shape[1] > 0
 
         # Behaviours run *before* the integrate (they set the actor
         # commands the integrate consumes), exactly as World.step — but
-        # vectorized over lanes.
-        if b.actors:
-            a_cmd_accel, a_cmd_dt = self.behaviors.update(b, key)
+        # vectorized over lanes.  bumper_gap(actor, ego) is
+        # actor.rear_s - ego.front_s, with the scalar association.
+        if has_slots:
+            a_cmd_accel, a_cmd_dt = self.behaviors.update(
+                lanes,
+                (a.a_s - a.slot_half_len) - (a.s + a.ego_half_len)[:, None],
+                a.a_speed,
+            )
 
-        # The dynamic state lives in the binding's persistent arrays.
-        steer_cmd = self.steer_cmd[b.idx]
-        accel_cmd = self.accel_cmd[b.idx]
-        driver_steering = self.driver_steering[b.idx]
-        steer = b.steer
-        speed = b.speed
-        s = b.s
-        d = b.d
-        psi = b.psi
-        brake_decel = b.brake_decel
-        mu_g = b.mu_g
+        steer_cmd = a.steer_cmd
+        accel_cmd = a.accel_cmd
+        speed = a.speed
+        s = a.s
+        d = a.d
+        psi = a.psi
+        brake_decel = a.brake_decel
+        mu_g = a.mu_g
 
         # -------- EgoVehicle.step, vectorized ------------------------- #
-        steer_rate = np.where(driver_steering, b.driver_rate, b.adas_rate)
-        steer = _np_rate_limit(steer, steer_cmd, steer_rate * dt)
+        steer_rate = np.where(a.driver_steering, a.driver_rate, a.adas_rate)
+        steer = _np_rate_limit(a.steer, steer_cmd, steer_rate * dt)
 
         tan_steer = np.array([math.tan(v) for v in steer.tolist()])
-        kappa_vehicle = tan_steer / b.wheelbase
+        kappa_vehicle = tan_steer / a.wheelbase
         lat_demand = speed * speed * np.abs(kappa_vehicle)
-        emergency = accel_cmd <= -b.emergency_decel
+        emergency = accel_cmd <= -a.emergency_decel
         brake_demand = np.minimum(-accel_cmd, mu_g * 0.97)
         lat_budget_sq = mu_g * mu_g - brake_demand * brake_demand
         lat_max = np.where(
-            emergency, _np_sqrt_pos(lat_budget_sq), mu_g * b.lat_frac
+            emergency, _np_sqrt_pos(lat_budget_sq), mu_g * a.lat_frac
         )
         understeer = (lat_demand > lat_max) & (speed > 0.1)
         denom_sq = np.where(understeer, speed * speed, 1.0)
@@ -392,15 +400,15 @@ class BatchDynamics:
         # Powertrain.actuate.
         positive = accel_cmd >= 0.0
         engine = np.where(
-            positive, np.minimum(accel_cmd, self._engine_accel(b, speed)), 0.0
+            positive, np.minimum(accel_cmd, self._engine_accel(speed)), 0.0
         )
         target_brake = np.where(
-            positive, 0.0, _np_clamp(-accel_cmd, 0.0, b.max_brake)
+            positive, 0.0, _np_clamp(-accel_cmd, 0.0, a.max_brake)
         )
-        lag = np.where(target_brake > brake_decel, b.brake_lag, 0.5 * b.brake_lag)
+        lag = np.where(target_brake > brake_decel, a.brake_lag, 0.5 * a.brake_lag)
         alpha = dt / (lag + dt)
         brake_decel = brake_decel + alpha * (target_brake - brake_decel)
-        drag = b.roll_res + b.drag_coef * speed * speed
+        drag = a.roll_res + a.drag_coef * speed * speed
         drag = np.where((speed <= 0.01) & (engine <= 0.0), 0.0, drag)
         achieved = engine - brake_decel - drag
 
@@ -413,7 +421,7 @@ class BatchDynamics:
         # Frenet integrate (semi-implicit Euler on speed).
         speed_next = speed + achieved * dt
         speed = np.where(speed_next > 0.0, speed_next, 0.0)
-        k_road = self._curvature(b, s)
+        k_road = self._curvature(s)
         denom = 1.0 - d * k_road
         denom = np.where(denom < 0.2, 0.2, denom)
         cos_psi = np.array([math.cos(v) for v in psi.tolist()])
@@ -425,20 +433,19 @@ class BatchDynamics:
         d = d + d_dot * dt
         psi = _np_clamp(psi + psi_dot * dt, -1.2, 1.2)
 
-        b.steer = steer
-        b.speed = speed
-        b.s = s
-        b.d = d
-        b.psi = psi
-        b.brake_decel = brake_decel
+        a.steer = steer
+        a.speed = speed
+        a.s = s
+        a.d = d
+        a.psi = psi
+        a.brake_decel = brake_decel
 
         # -------- scatter ego state ----------------------------------- #
         ego_out = np.stack(
             (steer, brake_decel, achieved, speed, s, d, psi), axis=1
         ).tolist()
-        sliding = understeer.tolist()
-        for j, ego in enumerate(b.egos):
-            row = ego_out[j]
+        for lane, row, sliding in zip(lanes, ego_out, understeer.tolist()):
+            ego = worlds[lane].ego
             ego.steer = row[0]
             ego.powertrain._brake_decel = row[1]
             ego.accel = row[2]
@@ -446,116 +453,81 @@ class BatchDynamics:
             ego.s = row[4]
             ego.d = row[5]
             ego.psi = row[6]
-            ego.sliding = sliding[j]
+            ego.sliding = sliding
 
-        # -------- KinematicActor.step, vectorized (flat over lanes) --- #
-        n_active = len(b.worlds)
-        a_s_pad = np.zeros((n_active, b.max_slots))
-        a_d_pad = np.zeros((n_active, b.max_slots))
-        a_speed_pad = np.zeros((n_active, b.max_slots))
-        a_dt_pad = np.zeros((n_active, b.max_slots))
-        if b.actors:
-            a_accel = _np_clamp(a_cmd_accel, -b.actor_limit, b.actor_limit)
-            a_next = b.a_speed + a_accel * dt
-            a_speed = np.where(a_next > 0.0, a_next, 0.0)
-            a_s = b.a_s + a_speed * dt
-            a_d = _np_rate_limit(b.a_d, a_cmd_dt, b.actor_rate * dt)
-            b.a_speed = a_speed
-            b.a_s = a_s
-            b.a_d = a_d
+        # -------- KinematicActor.step, vectorized (lane x slot) ------- #
+        if has_slots:
+            limit = mu_g[:, None]
+            a_accel = _np_clamp(a_cmd_accel, -limit, limit)
+            a_next = a.a_speed + a_accel * dt
+            a.a_speed = np.where(a_next > 0.0, a_next, 0.0)
+            a.a_s = a.a_s + a.a_speed * dt
+            a.a_d = _np_rate_limit(a.a_d, a_cmd_dt, a.actor_rate * dt)
 
             # The command columns ride along so the actor objects always
             # carry the behaviour outputs (scalar callers — cut-in scans,
-            # re-binds, direct world queries — read them from the objects).
+            # direct world queries — read them from the objects).
             a_out = np.stack(
-                (a_accel, a_speed, a_s, a_d, a_cmd_accel, a_cmd_dt), axis=1
-            ).tolist()
-            for j, actor in enumerate(b.actors):
-                row = a_out[j]
+                (a_accel, a.a_speed, a.a_s, a.a_d, a_cmd_accel, a_cmd_dt),
+                axis=-1,
+            )[a.valid].tolist()
+            actors = [actor for lane in lanes for actor in self._actors[lane]]
+            for actor, row in zip(actors, a_out):
                 actor.accel = row[0]
                 actor.speed = row[1]
                 actor.s = row[2]
                 actor.d = row[3]
                 actor.accel_cmd = row[4]
                 actor.d_target = row[5]
-            a_s_pad[b.flat_lane, b.flat_slot] = a_s
-            a_d_pad[b.flat_lane, b.flat_slot] = a_d
-            a_speed_pad[b.flat_lane, b.flat_slot] = a_speed
-            a_dt_pad[b.flat_lane, b.flat_slot] = a_cmd_dt
 
         # -------- time advance ---------------------------------------- #
-        for world in b.worlds:
-            world.time += dt
+        for lane in lanes:
+            worlds[lane].time += dt
 
         # -------- detection (vectorized test, scalar event path) ------ #
         # The batch evaluates exactly the detectors' comparisons; only
         # lanes whose test fires (rare) run the world's own detector, so
         # event construction / first-match ordering cannot drift.
         overlap = (
-            b.valid
-            & (np.abs(a_s_pad - s[:, None]) < b.ego_half_len[:, None] + b.slot_half_len)
-            & (np.abs(a_d_pad - d[:, None]) < b.ego_half_wid[:, None] + b.slot_half_wid)
+            a.valid
+            & (np.abs(a.a_s - s[:, None]) < a.ego_half_len[:, None] + a.slot_half_len)
+            & (np.abs(a.a_d - d[:, None]) < a.ego_half_wid[:, None] + a.slot_half_wid)
         )
-        collide = b.coll_open & overlap.any(axis=1)
+        collide = a.coll_open & overlap.any(axis=1)
         for j in np.nonzero(collide)[0]:
-            world = b.worlds[j]
+            world = worlds[lanes[j]]
             world._detect_collision()
-            b.coll_open[j] = world.collision is None
-        off_lane_now = (d < b.off_lane_lo) | (d > b.off_lane_hi)
-        off_road_now = (d + b.ego_half_wid < b.road_right) | (
-            d - b.ego_half_wid > b.road_left
+            a.coll_open[j] = world.collision is None
+        off_lane_now = (d < a.off_lane_lo) | (d > a.off_lane_hi)
+        off_road_now = (d + a.ego_half_wid < a.road_right) | (
+            d - a.ego_half_wid > a.road_left
         )
-        departed = (off_lane_now & ~b.off_lane_latch) | (
-            off_road_now & ~b.off_road_latch
+        departed = (off_lane_now & ~a.off_lane_latch) | (
+            off_road_now & ~a.off_road_latch
         )
         for j in np.nonzero(departed)[0]:
-            world = b.worlds[j]
+            world = worlds[lanes[j]]
             world._detect_departure()
-            b.off_lane_latch[j] = world.off_lane
-            b.off_road_latch[j] = world.off_road
+            a.off_lane_latch[j] = world.off_lane
+            a.off_road_latch[j] = world.off_road
 
         # -------- control view (pure queries, post-step) -------------- #
-        self._update_view(
-            b, s, d, speed, a_s_pad, a_d_pad, a_speed_pad, a_dt_pad
-        )
+        self._update_view()
 
-    def prime(self, lanes: Sequence[int]) -> None:
+    def prime(self) -> None:
         """Compute the :attr:`control_view` from the *current* (unstepped)
         state.
 
         The control phase runs before the first :meth:`step`, so the batch
         control stack's step-0 world queries come from here.
         """
-        b = self._bind(lanes)
-        n_active = len(b.worlds)
-        a_s_pad = np.zeros((n_active, b.max_slots))
-        a_d_pad = np.zeros((n_active, b.max_slots))
-        a_speed_pad = np.zeros((n_active, b.max_slots))
-        a_dt_pad = np.zeros((n_active, b.max_slots))
-        if b.actors:
-            a_s_pad[b.flat_lane, b.flat_slot] = b.a_s
-            a_d_pad[b.flat_lane, b.flat_slot] = b.a_d
-            a_speed_pad[b.flat_lane, b.flat_slot] = b.a_speed
-            a_dt_pad[b.flat_lane, b.flat_slot] = [a.d_target for a in b.actors]
-        self._update_view(
-            b, b.s, b.d, b.speed, a_s_pad, a_d_pad, a_speed_pad, a_dt_pad
-        )
+        self._update_view()
 
     # ------------------------------------------------------------------ #
     # Per-step world queries
     # ------------------------------------------------------------------ #
 
-    def _update_view(
-        self,
-        b: SimpleNamespace,
-        s: np.ndarray,
-        d: np.ndarray,
-        speed: np.ndarray,
-        a_s_pad: np.ndarray,
-        a_d_pad: np.ndarray,
-        a_speed_pad: np.ndarray,
-        a_dt_pad: np.ndarray,
-    ) -> None:
+    def _update_view(self) -> None:
         """Vectorized replicas of the per-step pure world queries.
 
         Each lane's entries equal, bit for bit, what its objects give:
@@ -567,55 +539,56 @@ class BatchDynamics:
         ``sensor.lead_human()``, each a ``valid``/``gap``/``speed``
         triple) and ``sensor.cut_in() is not None`` (``cut_in``).
         """
-        n_active = len(b.worlds)
+        a = self.arrays
+        s, d = a.s, a.d
+        a_s, a_d, valid = a.a_s, a.a_d, a.valid
+        n_active, slots = valid.shape
 
         # World.lane_line_distances (via Road.nearest_lane/lane_bounds).
         # ``<=`` turns rint's -0.0 (a slightly negative d) into the +0.0
         # of the scalar path's integer lane index.
-        lane = np.rint(d / b.lane_width)
+        lane = np.rint(d / a.lane_width)
         lane = np.where(
-            lane <= 0.0, 0.0, np.where(lane > b.max_lane, b.max_lane, lane)
+            lane <= 0.0, 0.0, np.where(lane > a.max_lane, a.max_lane, lane)
         )
-        center = lane * b.lane_width
-        right = center - b.half_lane
-        left = center + b.half_lane
-        dist_right = (d - b.ego_half_wid) - right
-        dist_left = left - (d + b.ego_half_wid)
+        center = lane * a.lane_width
+        right = center - a.half_lane
+        left = center + a.half_lane
+        dist_right = (d - a.ego_half_wid) - right
+        dist_left = left - (d + a.ego_half_wid)
 
         # Road.curvature_ahead at each lane's perception look-ahead.  All
         # six sample points (the s-anchor plus the five look-ahead probes)
         # go through one broadcast segment lookup; the accumulation below
         # keeps the serial loop's left-associative addition order.
-        pts = np.stack([s] + [s + b.curv_la * (i + 0.5) / 5 for i in range(5)])
-        seg_idx = np.sum(b.seg_starts[None] <= pts[..., None], axis=2) - 1
-        seg_idx = np.where(pts <= 0.0, 0, seg_idx)
-        seg_idx = np.where(pts >= b.road_len, b.seg_last, seg_idx)
-        vals = b.seg_curv_flat[seg_idx + b.seg_row_offset]
+        vals = self._curvature(
+            np.stack([s] + [s + a.curv_la * (i + 0.5) / 5 for i in range(5)])
+        )
         acc = 0.0 + vals[1]  # serial starts from acc = 0.0 (signed zero)
         for i in range(2, 6):
             acc = acc + vals[i]
-        curvature = np.where(b.curv_la > 0.0, acc / 5, vals[0])
+        curvature = np.where(a.curv_la > 0.0, acc / 5, vals[0])
 
         # World.lead_actor for each computed corridor.
-        ego_front = s + b.ego_half_len
+        ego_front = s + a.ego_half_len
         leads: Dict[str, SimpleNamespace] = {}
-        for name, corridor in b.corridors.items():
+        for name, corridor in a.corridors.items():
             best_slot = np.full(n_active, -1, dtype=np.intp)
-            best_gap = b.lead_range.copy()
-            for j in range(b.max_slots):
-                gap = (a_s_pad[:, j] - b.slot_half_len[:, j]) - ego_front
+            best_gap = a.lead_range.copy()
+            for j in range(slots):
+                gap = (a_s[:, j] - a.slot_half_len[:, j]) - ego_front
                 sel = (
-                    b.valid[:, j]
-                    & ~(np.abs(a_d_pad[:, j] - d) > corridor)
-                    & (gap > -b.slot_len[:, j])
+                    valid[:, j]
+                    & ~(np.abs(a_d[:, j] - d) > corridor)
+                    & (gap > -a.slot_len[:, j])
                     & (gap < best_gap)
                 )
                 best_slot = np.where(sel, j, best_slot)
                 best_gap = np.where(sel, np.where(gap > 0.0, gap, 0.0), best_gap)
             has_lead = best_slot >= 0
-            slot_clip = np.where(has_lead, best_slot, 0)
-            if b.max_slots:
-                lead_speed = a_speed_pad[np.arange(n_active), slot_clip]
+            if slots:
+                slot_clip = np.where(has_lead, best_slot, 0)
+                lead_speed = a.a_speed[np.arange(n_active), slot_clip]
             else:
                 lead_speed = np.zeros(n_active)
             # best_gap of a selected slot is exactly the measurement gap
@@ -628,22 +601,18 @@ class BatchDynamics:
         # broadcast over agents x lanes and reduced with any().  cut_in()
         # returns the *first* matching agent, so "some agent matches" is
         # exactly "the scalar scan returns non-None".
-        if b.max_slots:
-            gap_all = (a_s_pad - b.slot_half_len) - (s + b.ego_half_len)[:, None]
-            delta = a_dt_pad - a_d_pad
-            cut_in = (
-                b.valid
-                & (np.abs(a_d_pad - d[:, None]) > b.half_lane[:, None])
-                & (gap_all > -5.0)
-                & (gap_all < CUT_IN_GAP_RANGE)
-                & (delta * (d[:, None] - a_d_pad) > 0.0)
-                & (np.abs(delta) > 0.3)
-            ).any(axis=1)
-        else:
-            cut_in = np.zeros(n_active, dtype=bool)
+        gap_all = (a_s - a.slot_half_len) - ego_front[:, None]
+        delta = self.behaviors.arrays.d_target - a_d
+        cut_in = (
+            valid
+            & (np.abs(a_d - d[:, None]) > a.half_lane[:, None])
+            & (gap_all > -5.0)
+            & (gap_all < CUT_IN_GAP_RANGE)
+            & (delta * (d[:, None] - a_d) > 0.0)
+            & (np.abs(delta) > 0.3)
+        ).any(axis=1)
 
-        self.control_view = SimpleNamespace(
-            key=self._bound_key,
+        a.view = SimpleNamespace(
             dist_right=dist_right,
             dist_left=dist_left,
             lane_center=center,

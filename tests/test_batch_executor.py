@@ -148,7 +148,8 @@ class TestBatchSerialEquivalence:
     def test_mid_batch_finish_and_rng_draw_order(self):
         # RD-attacked baseline: the S4 lanes crash (A1) hundreds of steps
         # before the S1 lanes reach max_steps, so lanes retire mid-batch
-        # and the survivors' active-set key changes; the attack also
+        # and a compaction drops their rows from the survivors' packed
+        # arrays; the attack also
         # walks the lead through the perception blind range, so per-lane
         # RNG consumption alternates between 5-draw (valid-lead) and
         # 3-draw steps.  Neither may disturb bit-identity at any chunk

@@ -82,14 +82,14 @@ class TestBatchMitigationEquivalence:
             features = np.array([streams[i][t] for i in range(n_lanes)])
             y_a = np.array([y_ops[i][t].accel for i in range(n_lanes)])
             y_s = np.array([y_ops[i][t].steer for i in range(n_lanes)])
-            rec, mla, mls = batch.step(tuple(range(n_lanes)), features, y_a, y_s)
+            rec, mla, mls = batch.step(features, y_a, y_s)
             for i in range(n_lanes):
                 cmd, r = scalar[i].step(streams[i][t], y_ops[i][t], 0.01)
                 assert r == bool(rec[i]), (t, i)
                 assert cmd.accel == mla[i], (t, i)
                 assert cmd.steer == mls[i], (t, i)
         for lane in range(n_lanes):
-            batch.retire(lane)
+            batch.retire(lane, lane)
         for lhs, rhs in zip(scalar, batch_ctl):
             assert rhs._window == lhs._window
             assert rhs._s == lhs._s
@@ -155,7 +155,7 @@ class TestBatchMitigationInternals:
             _FakePlatform(None),
         ]
         batch = BatchMitigation(platforms, [0])
-        batch.retire(1)  # must not raise
+        batch.retire(1, 1)  # must not raise
 
 
 #: The paper's 128-64 network and a tiny one, built once (weights only).

@@ -3,9 +3,10 @@
 ``BatchDynamics.control_view`` is the batch engine's only copy of the
 per-step world queries: the vectorized control stack, the masked hazard
 screen and the metric accumulators read it, while scalar code asks each
-lane's world.  The byte-compare suites check it only end to end; this
-test compares every entry with what the lane's own objects give, after
-``prime`` and after every ``step``.
+lane's world.  The byte-compare suites check it only end to end; these
+tests compare every entry with what the lane's own objects give, after
+``prime``, after every ``step`` and after every compaction that drops
+retired lanes' rows.
 """
 
 from collections import Counter
@@ -26,6 +27,13 @@ FULL_CFG = InterventionConfig(
 
 #: Long enough for the curved-road ego to reach its curve.
 TICKS = 800
+
+#: The view cases each trace must reach (see ``_assert_view_matches``).
+CASES = (
+    "sensor", "radar", "human", "no sensor", "no radar", "no human",
+    "radar-wider", "human-wider", "cut-in", "curved", "overlap",
+    "not-first-actor",
+)
 
 
 def _bits(value):
@@ -76,7 +84,13 @@ def _expected(platform):
 
 def _assert_view_matches(stack, lanes, seen):
     view = stack.dynamics.control_view
-    assert view.key == tuple(lanes)
+    # One packed row per active lane, in ``lanes`` order.
+    assert all(
+        len(column) == len(lanes)
+        for column in (view.dist_right, view.dist_left, view.lane_center,
+                       view.curvature, view.cut_in)
+    )
+    assert all(len(lead.valid) == len(lanes) for lead in view.leads.values())
     assert sorted(view.leads) == ["human", "radar", "sensor"]
     for pos, lane in enumerate(lanes):
         platform = stack.platforms[lane]
@@ -108,11 +122,11 @@ def _assert_view_matches(stack, lanes, seen):
             seen["not-first-actor"] += actor.speed != first.speed
 
 
-def test_view_equals_scalar_queries_every_tick():
-    # Every registered family, RD-attacked from its first tick; one lane
-    # whose lead starts beyond World.LEAD_RANGE ("no lead"); and one
-    # unprotected dense-traffic lane that runs into its platoon
-    # (overlapping leads, leads other than the first actor).
+def _platforms():
+    """Every registered family, RD-attacked from its first tick; one lane
+    whose lead starts beyond World.LEAD_RANGE ("no lead"); and one
+    unprotected dense-traffic lane that runs into its platoon
+    (overlapping leads, leads other than the first actor)."""
     lanes_cfg = [
         (episode, FULL_CFG) for episode in _grid(tuple(registered_families()), 60.0)
     ]
@@ -121,17 +135,21 @@ def test_view_equals_scalar_queries_every_tick():
         (episode, InterventionConfig())
         for episode in _grid(("dense-traffic",), 60.0)
     ]
-    platforms = [
+    return [
         SimulationPlatform(episode, cfg, max_steps=TICKS)
         for episode, cfg in lanes_cfg
     ]
+
+
+def test_view_equals_scalar_queries_every_tick():
+    platforms = _platforms()
     stack = BatchControlStack(platforms)
     dynamics = stack.dynamics
     lanes = list(range(len(platforms)))
     for platform in platforms:
         platform._begin_episode()
     seen = Counter()
-    dynamics.prime(lanes)
+    dynamics.prime()
     _assert_view_matches(stack, lanes, seen)
     for _ in range(TICKS):
         stack.step_control(lanes)
@@ -146,9 +164,44 @@ def test_view_equals_scalar_queries_every_tick():
     assert platforms[-1].world.collision is not None
     # A view entry that never varies would compare a constant: the trace
     # has to reach each case.
-    for case in (
-        "sensor", "radar", "human", "no sensor", "no radar", "no human",
-        "radar-wider", "human-wider", "cut-in", "curved", "overlap",
-        "not-first-actor",
-    ):
+    for case in CASES:
+        assert seen[case] > 0, (case, dict(seen))
+
+
+#: Ticks at which a lane retires in the compaction test, and the packed
+#: row it leaves from: the front, the back and the middle.  S5, whose
+#: cut-in reaches the rare cases from tick 180 on, stays to the end.
+RETIREMENTS = ((40, 0), (150, -2), (151, 1), (560, 0), (600, -1), (700, 2))
+
+
+def test_view_follows_survivors_through_compactions():
+    # Lanes leave the lockstep the executor's way (retire, then one
+    # compaction) at staggered ticks, from the front, the back and the
+    # middle of the packed rows.  Right after each compaction (what the
+    # next control phase reads) and after every later step, the view's
+    # rows must be the survivors', in order.
+    platforms = _platforms()
+    stack = BatchControlStack(platforms)
+    dynamics = stack.dynamics
+    lanes = list(range(len(platforms)))
+    results = [platform._begin_episode() for platform in platforms]
+    seen = Counter()
+    dynamics.prime()
+    retirements = dict(RETIREMENTS)
+    for tick in range(TICKS):
+        stack.step_control(lanes)
+        dynamics.step(lanes, platforms[0].DT)
+        stack.accumulate()
+        _assert_view_matches(stack, lanes, seen)
+        if tick in retirements:
+            row = retirements[tick] % len(lanes)
+            stack.retire(row, lanes[row], results[lanes[row]])
+            survivors = [r for r in range(len(lanes)) if r != row]
+            dynamics.registry.compact(survivors)
+            lanes = [lanes[r] for r in survivors]
+            _assert_view_matches(stack, lanes, seen)
+
+    assert len(lanes) == len(platforms) - len(RETIREMENTS)
+    assert dynamics.registry.width == len(lanes)
+    for case in CASES:
         assert seen[case] > 0, (case, dict(seen))

@@ -480,7 +480,7 @@ class TestCrashRecovery:
         re-execute nothing it already earned, and still merge byte-identical
         to the serial run."""
         # A single-shard-per-worker grid big enough that each 12-episode
-        # shard streams its first 8-episode batch to disk well before
+        # shard appends its first finished episode to disk well before
         # finishing — the window in which the kill lands.
         spec = CampaignSpec(
             fault_types=[FaultType.RELATIVE_DISTANCE],
@@ -503,7 +503,7 @@ class TestCrashRecovery:
         write_job_spec(victim, spec_path, output=victim.file_name())
 
         # Launch shard 1's worker exactly as the fleet would, then kill it
-        # once its first streamed batch is on disk — a genuine mid-shard
+        # once its first finished episode is on disk — a genuine mid-shard
         # death, possibly mid-line.
         proc = subprocess.Popen(
             fleet_backend.worker_command(spec_path),
@@ -515,7 +515,7 @@ class TestCrashRecovery:
         try:
             while count_records(victim_path) < 1:
                 assert proc.poll() is None, "worker finished before the kill"
-                assert time.time() < deadline, "no streamed batch within 120 s"
+                assert time.time() < deadline, "no finished episode within 120 s"
                 time.sleep(0.05)
         finally:
             proc.kill()
