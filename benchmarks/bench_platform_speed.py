@@ -152,7 +152,7 @@ def test_parallel_speedup_report(capsys):
 
 #: Batch-width campaign: 96 episodes stepped in lockstep.  The batch
 #: engine amortises NumPy dispatch across lanes, so its advantage grows
-#: with width: below ``executor.BREAK_EVEN_LANES`` (24) lanes a lockstep
+#: with width: below ``executor.BREAK_EVEN_LANES`` (16) lanes a lockstep
 #: hands off to the scalar loop, and campaign-scale widths pull ahead
 #: (see the ``BatchExecutor`` docstring).
 _BATCH_CAMPAIGN = CampaignSpec(
@@ -241,6 +241,82 @@ def test_batch_speedup_report(capsys):
             f"expected >= 2x batch throughput at {episodes} lanes "
             f"({cores} cores), measured {speedup:.2f}x"
         )
+
+
+# --------------------------------------------------------------------- #
+# Lockstep tick cost at fixed widths
+# --------------------------------------------------------------------- #
+
+#: Widths of the tick-cost record: the one-lane tick (fixed cost per
+#: tick), a Table VI arm's 36 lanes and a fused-arm width.
+_TICK_WIDTHS = (1, 36, 120)
+_TICK_STEPS = 1000
+_TICK_RUNS = 3
+_TICK_CFG = InterventionConfig(
+    driver=True, safety_check=True, aeb=AebsConfig.INDEPENDENT
+)
+
+
+def _tick_tasks(width):
+    """``width`` fault-free S1-S6 episodes, cycling the families."""
+    from repro.attacks.campaign import enumerate_campaign
+    from repro.core.executor import EpisodeTask
+
+    episodes = enumerate_campaign(
+        CampaignSpec(
+            fault_types=[FaultType.NONE],
+            initial_gaps=(60.0,),
+            repetitions=-(-width // 6),
+            seed=2025,
+        )
+    )
+    return [
+        EpisodeTask(episode, _TICK_CFG, max_steps=_TICK_STEPS)
+        for episode in episodes[:width]
+    ]
+
+
+def test_lockstep_tick_report(monkeypatch, capsys):
+    """Median µs per lockstep tick and per lane-step at fixed widths.
+
+    Report-only: the lockstep is forced (``BREAK_EVEN_LANES = 0``, so no
+    width hands off) and timed by a :class:`PhaseProfile`, which reads
+    the clock around each phase of the tick loop and leaves set-up out.
+    The JSON line is also appended to ``$REPRO_BENCH_JSON`` when set.
+    """
+    from repro.core import executor
+
+    monkeypatch.setattr(executor, "BREAK_EVEN_LANES", 0)
+    widths = {}
+    for width in _TICK_WIDTHS:
+        tasks = _tick_tasks(width)
+        tick_us, lane_step_us = [], []
+        for _ in range(_TICK_RUNS):
+            profile = PhaseProfile()
+            results = BatchExecutor(profile=profile).run(tasks)
+            ticks = max(r.steps for r in results)
+            tick_us.append(1e6 * profile.total_s / ticks)
+            lane_step_us.append(1e6 * profile.total_s / profile.steps)
+        widths[str(width)] = {
+            "tick_us": round(sorted(tick_us)[_TICK_RUNS // 2], 1),
+            "lane_step_us": round(sorted(lane_step_us)[_TICK_RUNS // 2], 2),
+            "tick_us_runs": [round(v, 1) for v in tick_us],
+        }
+    record = {
+        "bench": "lockstep_tick",
+        "stack": _TICK_CFG.label(),
+        "max_steps": _TICK_STEPS,
+        "runs": _TICK_RUNS,
+        "available_cores": available_cores(),
+        "widths": widths,
+    }
+    line = json.dumps(record, sort_keys=True)
+    out_path = os.environ.get("REPRO_BENCH_JSON")
+    if out_path:
+        with open(out_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+    with capsys.disabled():
+        print(f"\n{line}")
 
 
 # --------------------------------------------------------------------- #

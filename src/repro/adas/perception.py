@@ -27,7 +27,9 @@ results depend on them:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from typing import Deque
 
 import numpy as np
 
@@ -35,6 +37,11 @@ from repro.sim.sensors import GroundTruthSensor
 from repro.utils.mathx import clamp
 from repro.utils.npmath import np_clamp
 from repro.utils.rng import RngStreams
+
+
+#: Standard normals a perception stream draws from its ``Generator`` at a
+#: time, on the scalar and the batch path alike (about 55 frames' worth).
+NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,24 @@ class PerceptionModel:
         self.sensor = sensor
         self.params = params or PerceptionParams()
         self._rng = streams.get("perception")
+        #: Standard normals drawn from ``_rng`` and not yet consumed, in
+        #: draw order: the head of the stream (see :meth:`_normal`).
+        self._pending: Deque[float] = deque()
         self._ff_curvature = 0.0  # lagged feed-forward state
+
+    def _normal(self, scale: float) -> float:
+        """The next ``float(rng.normal(0.0, scale))`` of the stream.
+
+        ``Generator.normal(0.0, scale)`` computes ``0.0 + scale * z`` from
+        one standard normal ``z``, and standard normals are drawn one after
+        another whatever the call size, so drawing them
+        :data:`NOISE_BLOCK` at a time gives the same values, bit for bit,
+        at a fraction of the call overhead.
+        """
+        pending = self._pending
+        if not pending:
+            pending.extend(self._rng.standard_normal(NOISE_BLOCK).tolist())
+        return 0.0 + scale * pending.popleft()
 
     def run(self, dt: float) -> PerceptionOutput:
         """Produce one perception frame (call once per control step)."""
@@ -134,16 +158,16 @@ class PerceptionModel:
             and lead.gap >= p.blind_range
         )
         if lead_valid and lead is not None:
-            rd = lead.gap + float(self._rng.normal(0.0, p.rd_noise))
-            rs = lead.relative_speed + float(self._rng.normal(0.0, p.rs_noise))
+            rd = lead.gap + self._normal(p.rd_noise)
+            rs = lead.relative_speed + self._normal(p.rs_noise)
             rd = max(rd, 0.0)
         else:
             rd, rs = 0.0, 0.0
 
         # --- Lane-line head --------------------------------------------
         dist_right, dist_left = self.sensor.lane_line_distances()
-        lane_left = dist_left + float(self._rng.normal(0.0, p.lane_noise))
-        lane_right = dist_right + float(self._rng.normal(0.0, p.lane_noise))
+        lane_left = dist_left + self._normal(p.lane_noise)
+        lane_right = dist_right + self._normal(p.lane_noise)
 
         # --- Desired-curvature head ------------------------------------
         # Feed-forward: lagged view of the road ahead (model latency).
@@ -160,7 +184,7 @@ class PerceptionModel:
             self._ff_curvature
             - p.centering_gain * offset
             - p.heading_gain * ego.psi
-            + float(self._rng.normal(0.0, p.curvature_noise))
+            + self._normal(p.curvature_noise)
         )
         k_des = clamp(k_des, -p.max_curvature, p.max_curvature)
 
@@ -174,7 +198,10 @@ class PerceptionModel:
         )
 
     def reset(self) -> None:
-        """Clear the feed-forward lag state (start of an episode)."""
+        """Clear the feed-forward lag state (start of an episode).
+
+        The pending normals stay: they are the ``Generator``'s next values.
+        """
         self._ff_curvature = 0.0
 
 

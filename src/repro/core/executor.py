@@ -59,7 +59,10 @@ from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
 from dataclasses import dataclass
 from time import perf_counter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.attacks.campaign import EpisodeSpec
 from repro.core.metrics import EpisodeResult
@@ -343,11 +346,12 @@ class ParallelExecutor(CampaignExecutor):
 
 #: Lockstep width below which a batch tick costs more than stepping each
 #: lane on its own.  From a width sweep of the report's attacked Table VI
-#: arms on a 2-vCPU host: a tick cost 71-90 us per lane-step at 16-23
-#: lanes and 58-67 at 24-31, where serial costs 66-70.  A lockstep this
-#: narrow with no batched ML lane finishes on :func:`run_steps`; 0 never
-#: hands off.
-BREAK_EVEN_LANES = 24
+#: arms (forced lockstep, 4,400 steps, seed 2025) on a 2-vCPU host: a
+#: tick cost 48 us per lane-step at 12 lanes, 43-47 at 14, 34-39 at 16
+#: and 25-35 at 18-22, where serial costs 41-46.  A lockstep this narrow
+#: with no batched ML lane finishes on :func:`run_steps`; 0 never hands
+#: off.
+BREAK_EVEN_LANES = 16
 
 
 class BatchExecutor(CampaignExecutor):
@@ -445,30 +449,32 @@ class BatchExecutor(CampaignExecutor):
         )
         dt = platforms[0].DT
         episodes = [platform._begin_episode() for platform in platforms]
-        steps = [0] * len(platforms)
-        # The stack's arrays hold one row per active lane, in this order.
+        # The stack's arrays hold one row per active lane, in this order;
+        # every active lane has run ``tick`` steps.
         active = list(range(len(platforms)))
+        horizon = dynamics.registry.add(
+            SimpleNamespace(steps=np.array([p.max_steps for p in platforms]))
+        )
+        tick = 0
         # The control phase runs before the first physics step, so its
         # step-0 world queries come from the initial state.
         dynamics.prime()
 
-        def sync(row: int, lane: int) -> None:
-            # A lane's state lives in the stack's arrays until retire()
-            # writes it back to its objects; quiet steps skip the per-step
+        def retire(row: int, lane: int) -> None:
+            # A lane's state lives in the lockstep's arrays until retire()
+            # syncs it to its objects; quiet steps skip the per-step
             # counter write, so the step count is stamped first.
-            episodes[lane].steps = steps[lane]
+            episodes[lane].steps = tick
             stack.retire(row, lane, episodes[lane])
 
         while active:
             if len(active) < BREAK_EVEN_LANES and stack.ml_set.isdisjoint(active):
-                # Hand off: once synced, a lane's objects, hazard records
-                # and perception Generator stand where serial's would at
+                # Hand off: once retired, a lane's objects, hazard records
+                # and perception stream stand where serial's would at
                 # this tick boundary.
                 for row, lane in enumerate(active):
-                    sync(row, lane)
-                    result = run_steps(
-                        platforms[lane], episodes[lane], steps[lane], profile
-                    )
+                    retire(row, lane)
+                    result = run_steps(platforms[lane], episodes[lane], tick, profile)
                     finish(indices[lane], result)
                 return
             t0 = perf_counter() if profile is not None else 0.0
@@ -486,23 +492,25 @@ class BatchExecutor(CampaignExecutor):
             # could mark or latch something this step run it; the mask is
             # exact, so quiet lanes skip the per-lane update entirely.  The
             # intervention recorders already ran in step_control.
-            haz_flags = hazards.screen(active)
-            survivors = []
-            for row, lane in enumerate(active):
-                platform = platforms[lane]
+            flagged = hazards.screen(active)
+            tick += 1
+            ended = horizon.steps <= tick
+            retired = []
+            for row in np.flatnonzero(flagged | ended).tolist():
+                lane = active[row]
                 finished = False
-                if haz_flags[row]:
-                    finished = platform._close_step(steps[lane], episodes[lane])
+                if flagged[row]:
+                    dynamics.sync(row, lane)
+                    finished = platforms[lane]._close_step(tick - 1, episodes[lane])
                     hazards.refresh(row, lane)
-                steps[lane] += 1
-                if finished or steps[lane] >= platform.max_steps:
-                    sync(row, lane)
-                    platform._finish_episode(episodes[lane])
+                if finished or ended[row]:
+                    retire(row, lane)
+                    platforms[lane]._finish_episode(episodes[lane])
                     finish(indices[lane], episodes[lane])
-                else:
-                    survivors.append(row)
-            if len(survivors) < len(active):
+                    retired.append(row)
+            if retired:
                 # One compaction drops every retired lane's rows.
+                survivors = [row for row in range(len(active)) if row not in retired]
                 dynamics.registry.compact(survivors)
                 active = [active[row] for row in survivors]
             if profile is not None:

@@ -22,10 +22,11 @@ lockstep array (see :class:`repro.sim.batch_state.LaneRegistry`): row
 slot ``k``, the layout of the dynamics' actor arrays, so an agent's
 commands, trigger latch and frozen parameters follow its lane through a
 compaction.  On the rare step a trigger flips, the flag is written
-through to the behaviour object so the objects never go stale;
-``accel_cmd`` and ``d_target`` are scattered back every step by
-:meth:`repro.sim.batch_state.BatchDynamics.step` alongside the kinematic
-state.  Behaviour *parameters* are frozen into arrays at construction —
+through to the behaviour object; ``accel_cmd`` and ``d_target`` reach
+the actor objects with the kinematic state when
+:meth:`repro.sim.batch_state.BatchDynamics.sync` writes the lane for a
+scalar reader.  Behaviour *parameters* are frozen into arrays at
+construction —
 the same "fixed after scenario build" contract the batch dynamics already
 places on agent lists.
 """

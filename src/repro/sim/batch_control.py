@@ -14,15 +14,19 @@ The intervention recorders and running metrics stay on arrays until
 
 Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
 
-* **RNG draws are exact per tick.**  Each lane keeps its own
-  ``Generator`` (the platform's perception stream) and draws exactly its
-  tick's ``standard_normal`` values into its noise row: 5 with a valid
-  lead, 3 without.  That consumes the underlying bit stream exactly like
-  the scalar path's sequential ``rng.normal(0.0, scale)`` calls, and
-  ``normal(0.0, s)`` is computed as ``0.0 + s * z`` (the same arithmetic
-  NumPy performs internally).  Nothing is drawn ahead, so at every tick
-  boundary each ``Generator`` stands where serial's would, and a lane can
-  leave the lockstep for the scalar loop at any tick.
+* **Each lane's noise is one stream.**  A lane's perception
+  ``Generator`` yields one sequence of standard normals however many are
+  drawn per call, and ``normal(0.0, s)`` is ``0.0 + s * z`` (the
+  arithmetic NumPy performs internally).  ``PerceptionModel`` draws them
+  ``NOISE_BLOCK`` at a time and keeps the ones it has not consumed; the
+  stack keeps a ``(lanes, NOISE_BLOCK)`` block with a cursor per row,
+  starts a row from its lane's pending normals, refills it from the
+  lane's ``Generator`` when fewer remain than a tick needs (5 with a
+  valid lead, 3 without), and takes each tick's values with one gather.
+  :meth:`BatchControlStack.retire` hands the row's unconsumed normals
+  back as the lane's pending ones.  So at every tick boundary the next
+  normal a lane consumes is the one serial's would, and a lane can leave
+  the lockstep for the scalar loop at any tick.
 * **Branches replicate scalar semantics** via the ``*_arrays`` step-math
   twins each module exposes (``np.where`` selections preserving operand
   order, signed zeros, and guard short-circuits).
@@ -44,17 +48,19 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
   step, fed by (and feeding) the arrays.
 * **World queries come from the control view.**  Lead corridors,
   lane-line distances, look-ahead curvature and the cut-in bit are read
-  from ``BatchDynamics.control_view``; no lockstep lane queries its world.
+  from ``BatchDynamics.control_view``; no lockstep lane queries its world,
+  and the driver hook reads the ego's acceleration from the dynamics'
+  arrays.
 
 State lives in arrays packed to the active lanes (row ``j`` is the
 ``j``-th active lane; see :class:`repro.sim.batch_state.LaneRegistry`),
 so a tick reads and writes whole arrays and reaches a lane's platform,
 world and ``Generator`` through the global ids the executor passes in.
 When a lane finishes, or the executor hands it to the scalar loop,
-:meth:`retire` scatters its controller state back onto the scalar
-objects, which then hold exactly what the serial path would have left
-behind; once a tick's finished lanes are retired, one compaction drops
-their rows.
+:meth:`retire` syncs its world (``BatchDynamics.sync``) and writes its
+controller state and noise stream back onto the scalar objects, which
+then hold exactly what the serial path would have left behind; once a
+tick's finished lanes are retired, one compaction drops their rows.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from repro.adas.controlsd import AdasCommand
 from repro.adas.lat_planner import lat_plan_arrays
 from repro.adas.lead_tracker import TrackedLead, tracker_step_arrays
 from repro.adas.long_planner import long_plan_arrays
-from repro.adas.perception import perception_head_arrays
+from repro.adas.perception import NOISE_BLOCK, perception_head_arrays
 from repro.safety.aebs import AebsConfig, aebs_step_arrays
 from repro.safety.driver import DriverView
 from repro.safety.ldw import ldw_arrays
@@ -80,8 +86,15 @@ from repro.sim.batch_state import BatchDynamics
 from repro.utils.npmath import np_clamp, np_max_pair, np_min_pair
 from repro.utils.units import G
 
-#: Worst-case standard-normal draws one lane consumes per step.
-_DRAWS_PER_STEP = 5
+#: Columns of a tick's noise row, ``[rd, rs, lane_left, lane_right,
+#: curvature]``, and the stream offsets that fill them: a lane with a
+#: valid lead consumes its next 5 normals, one without its next 3 (into
+#: the last three columns; the first two are then never read).
+_LEAD_DRAWS = np.arange(5)
+_NO_LEAD_DRAWS = np.array([0, 0, 0, 1, 2])
+
+#: The five intervention recorders, in their column order.
+_RECORDERS = ("aeb", "fcw", "driver_brake", "driver_steer", "ml_recovery")
 
 
 def lockstep_refusal(platform) -> Optional[str]:
@@ -248,10 +261,11 @@ class BatchControlStack:
         a.chk_max_steer = chk(lambda m: m.max_steer, 0.0)
         a.chk_steer_rate = chk(lambda m: m.max_steer_rate, 0.0)
         a.aeb_overrides = flags(lambda p: p.arbitrator.config.aeb_overrides_driver)
-        a.brake_auth = arr(
+        a.neg_brake_auth = -arr(
             lambda p: p.world.ego.powertrain.params.adas_brake_authority
         )
         a.ego_max_steer = arr(lambda p: p.world.ego.params.max_steer)
+        a.neg_max_steer = -a.ego_max_steer
 
         # Lanes with per-lane scalar hooks.
         a.has_driver = has_driver
@@ -263,32 +277,29 @@ class BatchControlStack:
             return arr(lambda p: 0.0 if p.driver is None else get(p.driver.params))
 
         a.drv_visual_ttc = drv(lambda q: q.visual_ttc)
-        a.drv_speed_limit = drv(lambda q: q.speed_limit)
+        a.drv_overspeed = 1.1 * drv(lambda q: q.speed_limit)
         a.drv_unsafe_gap = drv(lambda q: q.unsafe_gap)
         a.drv_ua_gap = drv(lambda q: q.unexpected_accel_gap)
         a.drv_lane_thresh = drv(lambda q: q.lane_distance_threshold)
         a.drv_idle = flags(lambda p: p.driver is not None and _driver_idle(p.driver))
+        # The driver's lateral offset is measured from lane 0's centre.
+        a.lane0_center = arr(lambda p: p.world.road.lane_center(0))
 
         # Intervention-activity recorders (the vectorized recording at the
-        # end of `_control_phase`): per-channel state blocks, flushed into
-        # the EpisodeResult at retire.  Zero state matches a fresh
+        # end of `_control_phase`): one (lanes, 5) block per field, a
+        # column per channel of `_RECORDERS`, flushed into the
+        # EpisodeResult at retire.  Zero state matches a fresh
         # InterventionActivity, and channels a lane never drives (e.g.
         # driver_* without a driver model) stay all-False — state-identical
         # to the scalar path.
-        def activity() -> SimpleNamespace:
-            return SimpleNamespace(
-                trig=np.zeros(n, dtype=bool),
-                first=np.full(n, math.nan),
-                dur=np.zeros(n),
-                count=np.zeros(n, dtype=np.int64),
-                prev=np.zeros(n, dtype=bool),
-            )
-
-        a.rec_aeb = activity()
-        a.rec_fcw = activity()
-        a.rec_drv_brake = activity()
-        a.rec_drv_steer = activity()
-        a.rec_ml = activity()
+        shape = (n, len(_RECORDERS))
+        a.rec = SimpleNamespace(
+            trig=np.zeros(shape, dtype=bool),
+            first=np.full(shape, math.nan),
+            dur=np.zeros(shape),
+            count=np.zeros(shape, dtype=np.int64),
+            prev=np.zeros(shape, dtype=bool),
+        )
 
         # ---- mutable controller state ----
         def opt(get) -> np.ndarray:
@@ -346,8 +357,18 @@ class BatchControlStack:
         a.acc_follow_sum = np.zeros(n)
         a.acc_follow_count = np.zeros(n, dtype=np.int64)
 
-        # Per-lane perception streams (draw-order preservation).
+        # Per-lane perception streams: each row holds the head of its
+        # lane's normal stream in ``noise[row, noise_at[row]:]``, starting
+        # from the normals its PerceptionModel drew and has not consumed.
         self._rngs = [p.perception._rng for p in self.platforms]
+        a.noise = np.zeros((n, NOISE_BLOCK))
+        a.noise_at = np.full(n, NOISE_BLOCK, dtype=np.intp)
+        for i, p in enumerate(self.platforms):
+            pending = p.perception._pending
+            if pending:
+                a.noise_at[i] = NOISE_BLOCK - len(pending)
+                a.noise[i, a.noise_at[i]:] = list(pending)
+                pending.clear()
 
     # ------------------------------------------------------------------ #
     # One vectorized control tick
@@ -373,7 +394,7 @@ class BatchControlStack:
                 "BatchDynamics.prime() must run before step_control()"
             )
         m = len(lanes)
-        now = self.platforms[lanes[0]].world.time
+        now = self.dynamics.time
         dt = self.platforms[lanes[0]].DT
 
         speed = d.speed
@@ -550,23 +571,23 @@ class BatchControlStack:
         )
 
         # --- 6. LDW + driver hooks -------------------------------------- #
-        sin_psi = np.array([math.sin(v) for v in psi.tolist()])
-        ldw_active = ldw_arrays(
-            dist_right,
-            dist_left,
-            speed * sin_psi,
-            speed,
-            a.ldw_dist,
-            a.ldw_ttc,
-            a.ldw_min_speed,
-        )
-
+        # LDW's one reader is the driver model, so both run only when
+        # some lane has one.
         drv_brake = np.zeros(m, dtype=bool)
         drv_brake_accel = np.zeros(m)
         drv_steer = np.zeros(m, dtype=bool)
         drv_steer_angle = np.zeros(m)
         drv_rows = np.flatnonzero(a.has_driver).tolist()
         if drv_rows:
+            ldw_active = ldw_arrays(
+                dist_right,
+                dist_left,
+                speed * d.sin_psi,
+                speed,
+                a.ldw_dist,
+                a.ldw_ttc,
+                a.ldw_min_speed,
+            )
             hv = view.leads["human"]
             h_okm = hv.valid
             h_gapm = hv.gap
@@ -585,7 +606,7 @@ class BatchControlStack:
             brake_poss = (
                 fcw
                 | (h_okm & (h_relm > 0.3) & (h_ttc < a.drv_visual_ttc))
-                | (speed > 1.1 * a.drv_speed_limit)
+                | (speed > a.drv_overspeed)
                 | (h_okm & (h_gapm < a.drv_unsafe_gap) & (h_relm > -0.5))
                 | (h_okm & (h_gapm < a.drv_ua_gap) & (h_relm > 0.0))
             )
@@ -594,7 +615,8 @@ class BatchControlStack:
             )
             busy = (brake_poss | steer_poss | ~a.drv_idle).tolist()
             speed_l = speed.tolist()
-            d_l = d.d.tolist()
+            accel_l = d.accel.tolist()
+            offset_l = (d.d - a.lane0_center).tolist()
             psi_l = psi.tolist()
             dr_l = dist_right.tolist()
             dl_l = dist_left.tolist()
@@ -609,22 +631,20 @@ class BatchControlStack:
                 cut = cut_l[j]
                 if not busy[j] and not cut:
                     continue
-                platform = self.platforms[lanes[j]]
-                drv = platform.driver
+                drv = self.platforms[lanes[j]].driver
                 gap = h_gap[j] if h_ok[j] else None
                 closing = h_rel[j] if h_ok[j] else 0.0
                 action = drv.update(
                     DriverView(
                         time=now,
                         ego_speed=speed_l[j],
-                        ego_accel=platform.world.ego.accel,
+                        ego_accel=accel_l[j],
                         gap=gap,
                         closing=closing,
                         cut_in=cut,
                         dist_right=dr_l[j],
                         dist_left=dl_l[j],
-                        lateral_offset=d_l[j]
-                        - platform.world.road.lane_center(0),
+                        lateral_offset=offset_l[j],
                         rel_heading=psi_l[j],
                         fcw=fcw_l[j],
                         ldw=ldw_l[j],
@@ -680,7 +700,7 @@ class BatchControlStack:
         # ACC brake-authority clamp (long authority "adas" *or* "ml" —
         # exactly the lanes neither AEB nor the driver is braking).
         adas_long = ~aeb_braking & ~drv_brake
-        neg_auth = -a.brake_auth
+        neg_auth = a.neg_brake_auth
         applied_accel = np.where(
             adas_long,
             np.where(neg_auth > final_accel, neg_auth, final_accel),
@@ -708,20 +728,22 @@ class BatchControlStack:
         a.prev_steer = final_steer
         # EgoVehicle.apply_controls, on arrays.
         d.accel_cmd = applied_accel
-        d.steer_cmd = np_clamp(final_steer, -a.ego_max_steer, a.ego_max_steer)
+        d.steer_cmd = np_clamp(final_steer, a.neg_max_steer, a.ego_max_steer)
         d.driver_steering = m_drv_steer
 
         # Intervention recorders take this tick's outputs, exactly the
-        # values the scalar `_control_phase` records.
-        self._record(a.rec_aeb, aeb_braking, now, dt)
-        self._record(a.rec_fcw, fcw, now, dt)
-        self._record(a.rec_drv_brake, drv_brake, now, dt)
-        self._record(a.rec_drv_steer, drv_steer, now, dt)
-        self._record(a.rec_ml, ml_recovery, now, dt)
+        # values the scalar `_control_phase` records, one column each.
+        self._record(
+            a.rec,
+            np.column_stack((aeb_braking, fcw, drv_brake, drv_steer, ml_recovery)),
+            now,
+            dt,
+        )
 
     @staticmethod
     def _record(rec, active: np.ndarray, now: float, dt: float) -> None:
-        """One vectorized ``InterventionActivity.record`` step."""
+        """One vectorized ``InterventionActivity.record`` step for every
+        lane and channel."""
         trig = rec.trig
         rec.first = np.where(active & ~trig, now, rec.first)
         rec.trig = trig | active
@@ -775,22 +797,41 @@ class BatchControlStack:
     # ------------------------------------------------------------------ #
 
     def _draw_noise(self, lanes: Sequence[int], lead_valid: np.ndarray) -> np.ndarray:
-        """Per-lane standard-normal draws for one perception frame.
+        """Each lane's standard normals for one perception frame.
 
-        5 draws with a valid lead (rd, rs, lane_left, lane_right,
-        curvature), 3 without (the scalar path skips the lead head), each
-        drawn straight into the lane's row so its ``Generator`` consumes
-        its bit stream exactly as the scalar path would, tick by tick.
+        A row takes the next 5 normals of its stream with a valid lead
+        (rd, rs, lane_left, lane_right, curvature) and the next 3 without
+        (the scalar path skips the lead head), in the scalar path's
+        order, with one gather over the lockstep's noise block.
         """
-        out = np.zeros((len(lanes), _DRAWS_PER_STEP))
-        rngs = self._rngs
-        for j, (lane, valid) in enumerate(zip(lanes, lead_valid.tolist())):
-            rngs[lane].standard_normal(out=out[j] if valid else out[j, 2:])
-        return out
+        a = self.arrays
+        need = np.where(lead_valid, 5, 3)
+        short = np.flatnonzero(a.noise_at > NOISE_BLOCK - need)
+        if short.size:
+            self._refill_noise(lanes, short.tolist())
+        at = a.noise_at
+        columns = at[:, None] + np.where(
+            lead_valid[:, None], _LEAD_DRAWS, _NO_LEAD_DRAWS
+        )
+        noise = a.noise[np.arange(len(at))[:, None], columns]
+        a.noise_at = at + need
+        return noise
+
+    def _refill_noise(self, lanes: Sequence[int], rows: Sequence[int]) -> None:
+        """Move each row's unconsumed normals to the front of its block
+        and fill the rest from its lane's ``Generator``."""
+        a = self.arrays
+        for row in rows:
+            block = a.noise[row]
+            tail = NOISE_BLOCK - int(a.noise_at[row])
+            block[:tail] = block[NOISE_BLOCK - tail:].copy()
+            self._rngs[lanes[row]].standard_normal(out=block[tail:])
+            a.noise_at[row] = 0
 
     def retire(self, row: int, lane: int, result=None) -> None:
-        """Scatter lane ``lane``'s controller state, at packed row ``row``,
-        back onto its objects.
+        """Write lane ``lane``'s state, at packed row ``row``, back onto its
+        objects: its world (``BatchDynamics.sync``), its controller state
+        and its unconsumed perception normals.
 
         After this the scalar objects look exactly as if the serial path
         had run the lane's steps so far (tracker/planner/AEBS/checker/
@@ -808,6 +849,9 @@ class BatchControlStack:
         """
         p = self.platforms[lane]
         a = self.arrays
+        self.dynamics.sync(row, lane)
+        # The row's unconsumed normals are the head of the lane's stream.
+        p.perception._pending.extend(a.noise[row, a.noise_at[row]:].tolist())
         if result is not None:
             result.min_ttc = float(a.acc_min_ttc[row])
             result.min_tfcw = float(a.acc_min_tfcw[row])
@@ -816,18 +860,14 @@ class BatchControlStack:
             result.max_speed = float(a.acc_max_speed[row])
             p._follow_sum = float(a.acc_follow_sum[row])
             p._follow_count = int(a.acc_follow_count[row])
-            for rec, activity in (
-                (a.rec_aeb, result.aeb),
-                (a.rec_fcw, result.fcw),
-                (a.rec_drv_brake, result.driver_brake),
-                (a.rec_drv_steer, result.driver_steer),
-                (a.rec_ml, result.ml_recovery),
-            ):
-                activity.triggered = bool(rec.trig[row])
-                activity.first_time = _optional(rec.first[row])
-                activity.active_duration = float(rec.dur[row])
-                activity.activation_count = int(rec.count[row])
-                activity._prev_active = bool(rec.prev[row])
+            rec = a.rec
+            for k, name in enumerate(_RECORDERS):
+                activity = getattr(result, name)
+                activity.triggered = bool(rec.trig[row, k])
+                activity.first_time = _optional(rec.first[row, k])
+                activity.active_duration = float(rec.dur[row, k])
+                activity.activation_count = int(rec.count[row, k])
+                activity._prev_active = bool(rec.prev[row, k])
         p._prev_exec = AdasCommand(
             accel=float(a.prev_accel[row]),
             steer=float(a.prev_steer[row]),

@@ -69,16 +69,17 @@ class BatchHazardMonitor:
             )
         )
 
-    def screen(self, lanes: Sequence[int]) -> List[bool]:
+    def screen(self, lanes: Sequence[int]) -> np.ndarray:
         """Per-row "the scalar update could mark or latch something" bits.
 
         ``lanes`` lists the global ids of the packed rows, in row order;
         the dynamics' state and control view of its last step are reused,
-        not recomputed.
+        not recomputed.  A flagged row's objects are stale until
+        ``BatchDynamics.sync`` writes them.
         """
         d = self.dynamics.arrays
         view = d.view
-        if view is None or len(view.cut_in) != len(lanes):
+        if view is None or len(view.dist_right) != len(lanes):
             raise RuntimeError(
                 "hazard screen requires a control view for the active set; "
                 "call BatchDynamics.step/prime first"
@@ -99,8 +100,7 @@ class BatchHazardMonitor:
         # A1/A2: the world latches the batch detectors already maintain.
         accident = ~d.coll_open | d.off_road_latch
 
-        flags = (h1 & ~a.h1_done) | (h2 & ~a.h2_done) | accident
-        return flags.tolist()
+        return (h1 & ~a.h1_done) | (h2 & ~a.h2_done) | accident
 
     def refresh(self, row: int, lane: int) -> None:
         """Re-read lane ``lane``'s scalar records into packed row ``row``

@@ -4,14 +4,20 @@
 *batch* of episodes: per control tick it integrates every lane's dynamic
 state (ego bicycle model, powertrain lag, traffic actors) as flat NumPy
 arrays with vectorized float64 arithmetic, driven by the actuator
-commands the control stack writes into its command arrays, and scatters
-the state back onto the per-lane objects.  It then computes the pure world
-queries the control stack reads every step — lead selection for each
-sensor corridor, lane-line distances, look-ahead road curvature, the
-cut-in screen — for all lanes at once into
+commands the control stack writes into its command arrays, and advances
+one clock, :attr:`BatchDynamics.time`, for every lane.  It then computes
+the pure world queries the control stack reads every step — lead
+selection for each sensor corridor, lane-line distances, look-ahead road
+curvature, the cut-in screen — for all lanes at once into
 :attr:`BatchDynamics.control_view`, the lockstep's only copy of them.
-Scalar callers (hazard-flagged lanes, lanes handed off to the scalar loop)
-run the world's own queries on the synced objects.
+
+The arrays are the lockstep's state; the per-lane objects are written only
+where scalar code reads them.  :meth:`BatchDynamics.sync` writes a lane's
+ego, traffic actors and ``world.time`` from the arrays, and runs before
+every scalar reader: the world's collision or departure detector on a lane
+whose vectorized test fired, the hazard monitor on a hazard-flagged lane,
+and the control stack's ``retire`` (a finished lane, or one handed off to
+the scalar loop).  Between syncs a lane's objects are stale.
 
 Every lane-axis array of the lockstep is *packed*: row ``j`` belongs to
 the ``j``-th active lane, and the ``lanes`` argument of the step methods
@@ -31,8 +37,7 @@ path produces **bit-identical** episode results to the serial path:
 * behaviours run through :class:`repro.sim.batch_agents.BehaviorBatch`,
   which replicates the built-in behaviour set as array expressions (a
   lane with any other behaviour never joins a lockstep); the resulting
-  ``accel_cmd`` / ``d_target`` are scattered back onto the actors every
-  step, exactly as in ``World.step``;
+  ``accel_cmd`` / ``d_target`` reach the actors with the rest of a sync;
 * the vectorized math uses only IEEE-754 elementwise operations
   (``+ - * / sqrt copysign abs`` and comparisons), which NumPy evaluates
   bit-identically to the scalar Python expressions they replace;
@@ -42,8 +47,9 @@ path produces **bit-identical** episode results to the serial path:
   ``interp1d``, the lead-selection scan) are replicated with ``np.where``
   selections that preserve the exact branch semantics, including
   signed-zero behaviour and first/best-match ordering;
-* collision / departure detection calls the world's own detectors, so
-  event construction and latch ordering cannot drift.
+* collision / departure detection calls the world's own detectors on the
+  synced lanes whose test fired, so event construction and latch ordering
+  cannot drift.
 
 The speedup comes from amortising Python bytecode and function-call
 overhead of the per-step float math and world queries across all lanes at
@@ -127,20 +133,22 @@ class BatchDynamics:
     """Lockstep integrator for a fixed set of worlds.
 
     Args:
-        worlds: the per-episode worlds.  Their parameter tables (vehicle,
-            powertrain, road geometry, friction) and their state are read
-            into packed arrays at construction; the state is scattered back
-            onto the objects on every :meth:`step`.
+        worlds: the per-episode worlds, all at one ``time``.  Their
+            parameter tables (vehicle, powertrain, road geometry,
+            friction) and their state are read into packed arrays at
+            construction; :meth:`sync` writes a lane's state back.
         curvature_lookaheads: per-lane perception curvature look-ahead [m]
             (``GroundTruthSensor.road_curvature``'s argument).
         radar_leads: also compute the independent-radar lead corridor
             (an AEBS INDEPENDENT lane is present).
-        human_leads: also compute the human-vision lead corridor (a
-            driver model is present).
+        human_leads: also compute the human-vision lead corridor and the
+            cut-in screen, the driver model's inputs (a driver model is
+            present).
 
     Raises:
-        ValueError: on an empty batch or a non-positive friction ``mu``
-            (the same condition ``EgoVehicle.step`` rejects).
+        ValueError: on an empty batch, worlds at different times or a
+            non-positive friction ``mu`` (the same condition
+            ``EgoVehicle.step`` rejects).
     """
 
     def __init__(
@@ -157,6 +165,13 @@ class BatchDynamics:
         for world in self.worlds:
             if world.friction.mu <= 0.0:
                 raise ValueError(f"mu must be positive, got {world.friction.mu}")
+        times = sorted({w.time for w in self.worlds})
+        if len(times) > 1:
+            raise ValueError(f"BatchDynamics needs worlds at one time, got {times}")
+        #: The lockstep's one clock, every lane's ``world.time``: advanced
+        #: by :meth:`step` with ``World.step``'s ``+= dt`` and written to a
+        #: lane's world by :meth:`sync`.
+        self.time = self.worlds[0].time
         egos = [w.ego for w in self.worlds]
         n = len(egos)
 
@@ -169,20 +184,27 @@ class BatchDynamics:
         #: This class's lane-axis arrays (see :class:`LaneRegistry`).
         a = self.arrays = self.registry.add(SimpleNamespace())
 
-        a.mu_g = np.array([w.friction.mu for w in self.worlds]) * G
+        # Per-lane constants, each combined once into the operand the step
+        # reads (the same arithmetic the scalar step does every call).
+        mu_g = np.array([w.friction.mu for w in self.worlds]) * G
+        lat_frac = np.array([e.params.lateral_friction_fraction for e in egos])
+        a.mu_g = mu_g
+        a.neg_mu_g = -mu_g
+        a.mu_g_sq = mu_g * mu_g
+        a.brake_cap = mu_g * 0.97
+        a.lat_cap = mu_g * lat_frac
         a.wheelbase = np.array([e.params.wheelbase for e in egos])
         a.adas_rate = np.array([e.params.adas_steer_rate for e in egos])
         a.driver_rate = np.array([e.params.driver_steer_rate for e in egos])
-        a.lat_frac = np.array([e.params.lateral_friction_fraction for e in egos])
-        a.emergency_decel = np.array([e.EMERGENCY_BRAKE_DECEL for e in egos])
+        a.emergency_cmd = -np.array([e.EMERGENCY_BRAKE_DECEL for e in egos])
         a.ego_half_len = np.array([0.5 * e.params.length for e in egos])
         a.ego_half_wid = np.array([0.5 * e.params.width for e in egos])
 
         pt = [e.powertrain.params for e in egos]
-        knot_count = max(len(p.engine_speed_knots) for p in pt)
-        # Knot tables are padded to a shared width: +inf speeds with the
-        # last acceleration value repeated, which is exactly the clamped
-        # out-of-range behaviour of ``mathx.interp1d``.
+        knot_count = max(2, max(len(p.engine_speed_knots) for p in pt))
+        # Knot tables are padded to a shared width of at least two: +inf
+        # speeds with the last acceleration value repeated, which is
+        # exactly the clamped out-of-range behaviour of ``mathx.interp1d``.
         a.eng_xs = np.full((n, knot_count), np.inf)
         a.eng_ys = np.zeros((n, knot_count))
         for i, params in enumerate(pt):
@@ -194,6 +216,7 @@ class BatchDynamics:
         a.eng_y_last = np.array([p.engine_accel_knots[-1] for p in pt])
         a.max_brake = np.array([p.max_brake_decel for p in pt])
         a.brake_lag = np.array([p.brake_lag for p in pt])
+        a.release_lag = 0.5 * a.brake_lag
         a.roll_res = np.array([p.rolling_resistance for p in pt])
         a.drag_coef = np.array([p.drag_coefficient for p in pt])
 
@@ -231,18 +254,27 @@ class BatchDynamics:
         a.off_lane_latch = np.array([w.off_lane for w in self.worlds])
         a.off_road_latch = np.array([w.off_road for w in self.worlds])
 
-        # Lead corridors computed each step, by name: the sensor's (also
-        # the hazard monitor's ``world.lead_actor()``), plus the radar and
-        # human corridors when some lane reads them.
+        # Lead corridors computed each step, one column each, named by
+        # ``_corridor_names``: the sensor's (also the hazard monitor's
+        # ``world.lead_actor()``), plus the radar and human corridors when
+        # some lane reads them.
         a.lead_range = np.array([float(w.LEAD_RANGE) for w in self.worlds])
-        a.corridors = {
-            "sensor": np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])
-        }
+        columns = [np.array([float(w.LEAD_CORRIDOR) for w in self.worlds])]
+        self._corridor_names = ["sensor"]
         if radar_leads:
-            a.corridors["radar"] = np.full(n, RADAR_CORRIDOR)
+            columns.append(np.full(n, RADAR_CORRIDOR))
+            self._corridor_names.append("radar")
         if human_leads:
-            a.corridors["human"] = np.full(n, HUMAN_CORRIDOR)
-        a.curv_la = np.array([float(v) for v in curvature_lookaheads])
+            columns.append(np.full(n, HUMAN_CORRIDOR))
+            self._corridor_names.append("human")
+        a.corridors = np.stack(columns, axis=1)
+        # The cut-in screen's one reader is the driver model.
+        self._cut_in = human_leads
+        # Road.curvature_ahead's five probe offsets, `lookahead * (i +
+        # 0.5) / 5`, per lane.
+        curv_la = np.array([float(v) for v in curvature_lookaheads])
+        a.curv_la = curv_la
+        a.probe_offsets = np.stack([curv_la * (i + 0.5) / 5 for i in range(5)], axis=1)
 
         # Ego state.  Written *only* by the integrate (the control stack
         # writes the command arrays), so the arrays stay authoritative.
@@ -252,29 +284,39 @@ class BatchDynamics:
         a.d = np.array([e.d for e in egos])
         a.psi = np.array([e.psi for e in egos])
         a.brake_decel = np.array([e.powertrain._brake_decel for e in egos])
+        a.accel = np.array([e.accel for e in egos])
+        a.sliding = np.array([e.sliding for e in egos])
+        # sin(psi), read by the next integrate and by LDW.
+        a.sin_psi = np.array([math.sin(e.psi) for e in egos])
 
         # Traffic actors: lane-by-slot tables, agent order within a lane
         # (agent lists are fixed after scenario build).
         self._actors = [[b.actor for b in w.agents] for w in self.worlds]
         slots = max(len(actors) for actors in self._actors)
         a.valid = np.zeros((n, slots), dtype=bool)
-        a.slot_len = np.zeros((n, slots))
+        slot_len = np.zeros((n, slots))
         slot_wid = np.zeros((n, slots))
         a.actor_rate = np.zeros((n, slots))
+        a.a_accel = np.zeros((n, slots))
         a.a_speed = np.zeros((n, slots))
         a.a_s = np.zeros((n, slots))
         a.a_d = np.zeros((n, slots))
         for i, actors in enumerate(self._actors):
             for slot, actor in enumerate(actors):
                 a.valid[i, slot] = True
-                a.slot_len[i, slot] = actor.params.length
+                slot_len[i, slot] = actor.params.length
                 slot_wid[i, slot] = actor.params.width
                 a.actor_rate[i, slot] = actor.lane_change_rate
+                a.a_accel[i, slot] = actor.accel
                 a.a_speed[i, slot] = actor.speed
                 a.a_s[i, slot] = actor.s
                 a.a_d[i, slot] = actor.d
-        a.slot_half_len = 0.5 * a.slot_len
-        a.slot_half_wid = 0.5 * slot_wid
+        a.slot_half_len = 0.5 * slot_len
+        # A lead candidate's gap must exceed minus its length.
+        a.neg_slot_len = -slot_len
+        # The collision test's half-extent sums, ego + actor.
+        a.coll_len = a.ego_half_len[:, None] + a.slot_half_len
+        a.coll_wid = a.ego_half_wid[:, None] + 0.5 * slot_wid
 
         #: Latched actuator commands, the array twin of
         #: ``EgoVehicle.apply_controls``: the control stack writes them
@@ -284,8 +326,12 @@ class BatchDynamics:
         a.steer_cmd = np.zeros(n)
         a.driver_steering = np.zeros(n, dtype=bool)
 
-        # The world queries of the latest step or prime (_update_view).
+        # The world queries of the latest step or prime (_update_view),
+        # and the two the next integrate reads: the road curvature at
+        # each ego's s and each actor's bumper gap to its ego.
         a.view = None
+        a.k_road = self._curvature(a.s)
+        a.gap = (a.a_s - a.slot_half_len) - (a.s + a.ego_half_len)[:, None]
 
     @property
     def control_view(self) -> Optional[SimpleNamespace]:
@@ -293,6 +339,49 @@ class BatchDynamics:
         row per active lane (see :meth:`_update_view`); None until the
         first of them."""
         return self.arrays.view
+
+    def sync(self, row: int, lane: int) -> None:
+        """Write lane ``lane``'s state, at packed row ``row``, onto its
+        objects: the ego, its traffic actors and ``world.time``.
+
+        The objects then hold what the serial path's ``World.step`` would
+        have left, ready for a scalar reader (the world's detectors, the
+        hazard monitor, the scalar loop after a hand-off).  Between syncs
+        they are stale.
+        """
+        a = self.arrays
+        world = self.worlds[lane]
+        ego = world.ego
+        ego.steer = float(a.steer[row])
+        ego.powertrain._brake_decel = float(a.brake_decel[row])
+        ego.accel = float(a.accel[row])
+        ego.speed = float(a.speed[row])
+        ego.s = float(a.s[row])
+        ego.d = float(a.d[row])
+        ego.psi = float(a.psi[row])
+        ego.sliding = bool(a.sliding[row])
+        actors = self._actors[lane]
+        if actors:
+            b = self.behaviors.arrays
+            k = len(actors)
+            columns = zip(
+                a.a_accel[row, :k].tolist(),
+                a.a_speed[row, :k].tolist(),
+                a.a_s[row, :k].tolist(),
+                a.a_d[row, :k].tolist(),
+                b.accel[row, :k].tolist(),
+                b.d_target[row, :k].tolist(),
+            )
+            for actor, (accel, speed, s, d, accel_cmd, d_target) in zip(
+                actors, columns
+            ):
+                actor.accel = accel
+                actor.speed = speed
+                actor.s = s
+                actor.d = d
+                actor.accel_cmd = accel_cmd
+                actor.d_target = d_target
+        world.time = self.time
 
     # ------------------------------------------------------------------ #
     # Vectorized lookups
@@ -302,25 +391,26 @@ class BatchDynamics:
         """``Powertrain.max_engine_accel`` for each active lane.
 
         Replicates ``mathx.interp1d`` exactly: boundary clamp first, then
-        first-match segment selection with the same ``t = (x-x0)/(x1-x0)``
-        arithmetic.
+        the first knot ``i >= 1`` with ``speed <= xs[i]`` (one gather over
+        the knot axis) and the same ``t = (x-x0)/(x1-x0)`` arithmetic.
         """
         a = self.arrays
         xs, ys = a.eng_xs, a.eng_ys
-        out = a.eng_y_last.copy()
         done = speed >= a.eng_x_last
         low = ~done & (speed <= xs[:, 0])
-        out = np.where(low, ys[:, 0], out)
-        done |= low
+        hit = speed[:, None] <= xs[:, 1:]
+        rows = np.arange(len(speed))
+        first = np.argmax(hit, axis=1)  # the first match's knot, minus one
+        knot = first + 1
+        x0, x1 = xs[rows, first], xs[rows, knot]
+        y0, y1 = ys[rows, first], ys[rows, knot]
         with np.errstate(invalid="ignore"):
-            for i in range(1, xs.shape[1]):
-                seg = ~done & (speed <= xs[:, i])
-                x0, x1 = xs[:, i - 1], xs[:, i]
-                y0, y1 = ys[:, i - 1], ys[:, i]
-                t = (speed - x0) / (x1 - x0)
-                out = np.where(seg, y0 + t * (y1 - y0), out)
-                done |= seg
-        return out
+            t = (speed - x0) / (x1 - x0)
+            inner = y0 + t * (y1 - y0)
+        # ``hit[rows, first]`` is False only when no knot matched (a NaN
+        # speed), where the scalar loop falls through to ``ys[-1]``.
+        seg = ~done & ~low & hit[rows, first]
+        return np.where(seg, inner, np.where(low, ys[:, 0], a.eng_y_last))
 
     def _curvature(self, s: np.ndarray) -> np.ndarray:
         """``Road.curvature_at`` for each active lane, at every entry of
@@ -347,24 +437,19 @@ class BatchDynamics:
         Order per lane is identical to ``World.step``: behaviours, ego
         integrate (on the latched command arrays), actor integrate, time
         advance, collision detection, departure detection — then the
-        control-view update.
+        control-view update.  Only the rows whose detector test fires are
+        synced (:meth:`sync`) and run the world's own detector.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         a = self.arrays
-        worlds = self.worlds
         has_slots = a.valid.shape[1] > 0
 
         # Behaviours run *before* the integrate (they set the actor
         # commands the integrate consumes), exactly as World.step — but
-        # vectorized over lanes.  bumper_gap(actor, ego) is
-        # actor.rear_s - ego.front_s, with the scalar association.
+        # vectorized over lanes, on the bumper gaps of the last view.
         if has_slots:
-            a_cmd_accel, a_cmd_dt = self.behaviors.update(
-                lanes,
-                (a.a_s - a.slot_half_len) - (a.s + a.ego_half_len)[:, None],
-                a.a_speed,
-            )
+            a_cmd_accel, a_cmd_dt = self.behaviors.update(lanes, a.gap, a.a_speed)
 
         steer_cmd = a.steer_cmd
         accel_cmd = a.accel_cmd
@@ -373,7 +458,6 @@ class BatchDynamics:
         d = a.d
         psi = a.psi
         brake_decel = a.brake_decel
-        mu_g = a.mu_g
 
         # -------- EgoVehicle.step, vectorized ------------------------- #
         steer_rate = np.where(a.driver_steering, a.driver_rate, a.adas_rate)
@@ -382,12 +466,10 @@ class BatchDynamics:
         tan_steer = np.array([math.tan(v) for v in steer.tolist()])
         kappa_vehicle = tan_steer / a.wheelbase
         lat_demand = speed * speed * np.abs(kappa_vehicle)
-        emergency = accel_cmd <= -a.emergency_decel
-        brake_demand = np.minimum(-accel_cmd, mu_g * 0.97)
-        lat_budget_sq = mu_g * mu_g - brake_demand * brake_demand
-        lat_max = np.where(
-            emergency, _np_sqrt_pos(lat_budget_sq), mu_g * a.lat_frac
-        )
+        emergency = accel_cmd <= a.emergency_cmd
+        brake_demand = np.minimum(-accel_cmd, a.brake_cap)
+        lat_budget_sq = a.mu_g_sq - brake_demand * brake_demand
+        lat_max = np.where(emergency, _np_sqrt_pos(lat_budget_sq), a.lat_cap)
         understeer = (lat_demand > lat_max) & (speed > 0.1)
         denom_sq = np.where(understeer, speed * speed, 1.0)
         kappa_eff = np.where(
@@ -405,7 +487,7 @@ class BatchDynamics:
         target_brake = np.where(
             positive, 0.0, _np_clamp(-accel_cmd, 0.0, a.max_brake)
         )
-        lag = np.where(target_brake > brake_decel, a.brake_lag, 0.5 * a.brake_lag)
+        lag = np.where(target_brake > brake_decel, a.brake_lag, a.release_lag)
         alpha = dt / (lag + dt)
         brake_decel = brake_decel + alpha * (target_brake - brake_decel)
         drag = a.roll_res + a.drag_coef * speed * speed
@@ -413,21 +495,21 @@ class BatchDynamics:
         achieved = engine - brake_decel - drag
 
         # Friction circle on the longitudinal channel.
-        long_budget_sq = mu_g * mu_g - lat_used * lat_used
+        long_budget_sq = a.mu_g_sq - lat_used * lat_used
         long_max = _np_sqrt_pos(long_budget_sq)
         hi = np.where(0.0 > long_max, 0.0, long_max)  # max(long_max, 0.0)
         achieved = _np_clamp(achieved, -long_max, hi)
 
-        # Frenet integrate (semi-implicit Euler on speed).
+        # Frenet integrate (semi-implicit Euler on speed), on the road
+        # curvature and sin(psi) of the current state.
         speed_next = speed + achieved * dt
         speed = np.where(speed_next > 0.0, speed_next, 0.0)
-        k_road = self._curvature(s)
+        k_road = a.k_road
         denom = 1.0 - d * k_road
         denom = np.where(denom < 0.2, 0.2, denom)
         cos_psi = np.array([math.cos(v) for v in psi.tolist()])
-        sin_psi = np.array([math.sin(v) for v in psi.tolist()])
         s_dot = speed * cos_psi / denom
-        d_dot = speed * sin_psi
+        d_dot = speed * a.sin_psi
         psi_dot = speed * kappa_eff - k_road * s_dot
         s = s + s_dot * dt
         d = d + d_dot * dt
@@ -438,64 +520,36 @@ class BatchDynamics:
         a.s = s
         a.d = d
         a.psi = psi
+        a.sin_psi = np.array([math.sin(v) for v in psi.tolist()])
         a.brake_decel = brake_decel
-
-        # -------- scatter ego state ----------------------------------- #
-        ego_out = np.stack(
-            (steer, brake_decel, achieved, speed, s, d, psi), axis=1
-        ).tolist()
-        for lane, row, sliding in zip(lanes, ego_out, understeer.tolist()):
-            ego = worlds[lane].ego
-            ego.steer = row[0]
-            ego.powertrain._brake_decel = row[1]
-            ego.accel = row[2]
-            ego.speed = row[3]
-            ego.s = row[4]
-            ego.d = row[5]
-            ego.psi = row[6]
-            ego.sliding = sliding
+        a.accel = achieved
+        a.sliding = understeer
 
         # -------- KinematicActor.step, vectorized (lane x slot) ------- #
         if has_slots:
-            limit = mu_g[:, None]
-            a_accel = _np_clamp(a_cmd_accel, -limit, limit)
-            a_next = a.a_speed + a_accel * dt
+            a.a_accel = _np_clamp(a_cmd_accel, a.neg_mu_g[:, None], a.mu_g[:, None])
+            a_next = a.a_speed + a.a_accel * dt
             a.a_speed = np.where(a_next > 0.0, a_next, 0.0)
             a.a_s = a.a_s + a.a_speed * dt
             a.a_d = _np_rate_limit(a.a_d, a_cmd_dt, a.actor_rate * dt)
 
-            # The command columns ride along so the actor objects always
-            # carry the behaviour outputs (scalar callers — cut-in scans,
-            # direct world queries — read them from the objects).
-            a_out = np.stack(
-                (a_accel, a.a_speed, a.a_s, a.a_d, a_cmd_accel, a_cmd_dt),
-                axis=-1,
-            )[a.valid].tolist()
-            actors = [actor for lane in lanes for actor in self._actors[lane]]
-            for actor, row in zip(actors, a_out):
-                actor.accel = row[0]
-                actor.speed = row[1]
-                actor.s = row[2]
-                actor.d = row[3]
-                actor.accel_cmd = row[4]
-                actor.d_target = row[5]
-
         # -------- time advance ---------------------------------------- #
-        for lane in lanes:
-            worlds[lane].time += dt
+        self.time += dt
 
         # -------- detection (vectorized test, scalar event path) ------ #
         # The batch evaluates exactly the detectors' comparisons; only
-        # lanes whose test fires (rare) run the world's own detector, so
-        # event construction / first-match ordering cannot drift.
+        # lanes whose test fires (rare) are synced and run the world's own
+        # detector, so event construction / first-match ordering cannot
+        # drift.
         overlap = (
             a.valid
-            & (np.abs(a.a_s - s[:, None]) < a.ego_half_len[:, None] + a.slot_half_len)
-            & (np.abs(a.a_d - d[:, None]) < a.ego_half_wid[:, None] + a.slot_half_wid)
+            & (np.abs(a.a_s - s[:, None]) < a.coll_len)
+            & (np.abs(a.a_d - d[:, None]) < a.coll_wid)
         )
         collide = a.coll_open & overlap.any(axis=1)
-        for j in np.nonzero(collide)[0]:
-            world = worlds[lanes[j]]
+        for j in np.flatnonzero(collide).tolist():
+            world = self.worlds[lanes[j]]
+            self.sync(j, lanes[j])
             world._detect_collision()
             a.coll_open[j] = world.collision is None
         off_lane_now = (d < a.off_lane_lo) | (d > a.off_lane_hi)
@@ -505,8 +559,9 @@ class BatchDynamics:
         departed = (off_lane_now & ~a.off_lane_latch) | (
             off_road_now & ~a.off_road_latch
         )
-        for j in np.nonzero(departed)[0]:
-            world = worlds[lanes[j]]
+        for j in np.flatnonzero(departed).tolist():
+            world = self.worlds[lanes[j]]
+            self.sync(j, lanes[j])
             world._detect_departure()
             a.off_lane_latch[j] = world.off_lane
             a.off_road_latch[j] = world.off_road
@@ -530,18 +585,19 @@ class BatchDynamics:
     def _update_view(self) -> None:
         """Vectorized replicas of the per-step pure world queries.
 
-        Each lane's entries equal, bit for bit, what its objects give:
-        ``world.lane_line_distances()`` (``dist_right``/``dist_left``, with
-        the nearest lane's centre in ``lane_center``),
-        ``sensor.road_curvature(lookahead)`` (``curvature``), the three
-        lead corridors (``leads["sensor"]`` is ``world.lead_actor()``,
+        Each lane's entries equal, bit for bit, what its synced objects
+        give: ``world.lane_line_distances()`` (``dist_right``/
+        ``dist_left``, with the nearest lane's centre in ``lane_center``),
+        ``sensor.road_curvature(lookahead)`` (``curvature``), the lead
+        corridors (``leads["sensor"]`` is ``world.lead_actor()``,
         ``"radar"`` ``sensor.radar_lead()`` and ``"human"``
         ``sensor.lead_human()``, each a ``valid``/``gap``/``speed``
-        triple) and ``sensor.cut_in() is not None`` (``cut_in``).
+        triple) and, with the human corridor, ``sensor.cut_in() is not
+        None`` (``cut_in``; None without it).
         """
         a = self.arrays
         s, d = a.s, a.d
-        a_s, a_d, valid = a.a_s, a.a_d, a.valid
+        a_d, valid = a.a_d, a.valid
         n_active, slots = valid.shape
 
         # World.lane_line_distances (via Road.nearest_lane/lane_bounds).
@@ -557,60 +613,62 @@ class BatchDynamics:
         dist_right = (d - a.ego_half_wid) - right
         dist_left = left - (d + a.ego_half_wid)
 
-        # Road.curvature_ahead at each lane's perception look-ahead.  All
-        # six sample points (the s-anchor plus the five look-ahead probes)
-        # go through one broadcast segment lookup; the accumulation below
-        # keeps the serial loop's left-associative addition order.
-        vals = self._curvature(
-            np.stack([s] + [s + a.curv_la * (i + 0.5) / 5 for i in range(5)])
-        )
-        acc = 0.0 + vals[1]  # serial starts from acc = 0.0 (signed zero)
-        for i in range(2, 6):
-            acc = acc + vals[i]
-        curvature = np.where(a.curv_la > 0.0, acc / 5, vals[0])
+        # Road.curvature_ahead at each lane's perception look-ahead: the
+        # s-anchor (also the next integrate's road curvature) and the five
+        # probes, whose sum keeps the serial loop's left-associative
+        # order.
+        a.k_road = self._curvature(s)
+        probes = self._curvature(s + a.probe_offsets.T)
+        acc = 0.0 + probes[0]  # serial starts from acc = 0.0 (signed zero)
+        for i in range(1, 5):
+            acc = acc + probes[i]
+        curvature = np.where(a.curv_la > 0.0, acc / 5, a.k_road)
 
-        # World.lead_actor for each computed corridor.
-        ego_front = s + a.ego_half_len
-        leads: Dict[str, SimpleNamespace] = {}
-        for name, corridor in a.corridors.items():
-            best_slot = np.full(n_active, -1, dtype=np.intp)
-            best_gap = a.lead_range.copy()
-            for j in range(slots):
-                gap = (a_s[:, j] - a.slot_half_len[:, j]) - ego_front
-                sel = (
-                    valid[:, j]
-                    & ~(np.abs(a_d[:, j] - d) > corridor)
-                    & (gap > -a.slot_len[:, j])
-                    & (gap < best_gap)
-                )
-                best_slot = np.where(sel, j, best_slot)
-                best_gap = np.where(sel, np.where(gap > 0.0, gap, 0.0), best_gap)
-            has_lead = best_slot >= 0
-            if slots:
-                slot_clip = np.where(has_lead, best_slot, 0)
-                lead_speed = a.a_speed[np.arange(n_active), slot_clip]
-            else:
-                lead_speed = np.zeros(n_active)
-            # best_gap of a selected slot is exactly the measurement gap
-            # (`max(0.0, rear_s - front_s)`) GroundTruthSensor computes.
-            leads[name] = SimpleNamespace(
-                valid=has_lead, gap=best_gap, speed=lead_speed
+        # World.lead_actor for every computed corridor at once: the slot
+        # scan runs over a (corridors, lanes) array.
+        gap = (a.a_s - a.slot_half_len) - (s + a.ego_half_len)[:, None]
+        a.gap = gap
+        lateral = np.abs(a_d - d[:, None])
+        candidate = valid & (gap > a.neg_slot_len)
+        corridors = a.corridors.T
+        inside = candidate & ~(lateral > corridors[:, :, None])
+        gap_pos = np.where(gap > 0.0, gap, 0.0)
+        best_slot = np.full(corridors.shape, -1, dtype=np.intp)
+        best_gap = np.broadcast_to(a.lead_range, corridors.shape)
+        for j in range(slots):
+            sel = inside[:, :, j] & (gap[:, j] < best_gap)
+            best_slot = np.where(sel, j, best_slot)
+            best_gap = np.where(sel, gap_pos[:, j], best_gap)
+        has_lead = best_slot >= 0
+        if slots:
+            slot_clip = np.where(has_lead, best_slot, 0)
+            lead_speed = a.a_speed[np.arange(n_active), slot_clip]
+        else:
+            lead_speed = np.zeros(corridors.shape)
+        # best_gap of a selected slot is exactly the measurement gap
+        # (`max(0.0, rear_s - front_s)`) GroundTruthSensor computes.
+        leads: Dict[str, SimpleNamespace] = {
+            name: SimpleNamespace(
+                valid=has_lead[k], gap=best_gap[k], speed=lead_speed[k]
             )
+            for k, name in enumerate(self._corridor_names)
+        }
 
         # GroundTruthSensor.cut_in screen: the exact per-agent predicate,
         # broadcast over agents x lanes and reduced with any().  cut_in()
         # returns the *first* matching agent, so "some agent matches" is
         # exactly "the scalar scan returns non-None".
-        gap_all = (a_s - a.slot_half_len) - ego_front[:, None]
-        delta = self.behaviors.arrays.d_target - a_d
-        cut_in = (
-            valid
-            & (np.abs(a_d - d[:, None]) > a.half_lane[:, None])
-            & (gap_all > -5.0)
-            & (gap_all < CUT_IN_GAP_RANGE)
-            & (delta * (d[:, None] - a_d) > 0.0)
-            & (np.abs(delta) > 0.3)
-        ).any(axis=1)
+        cut_in = None
+        if self._cut_in:
+            delta = self.behaviors.arrays.d_target - a_d
+            cut_in = (
+                valid
+                & (lateral > a.half_lane[:, None])
+                & (gap > -5.0)
+                & (gap < CUT_IN_GAP_RANGE)
+                & (delta * (d[:, None] - a_d) > 0.0)
+                & (np.abs(delta) > 0.3)
+            ).any(axis=1)
 
         a.view = SimpleNamespace(
             dist_right=dist_right,

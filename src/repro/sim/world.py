@@ -9,8 +9,9 @@ departure flags the hazard detectors consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim.agents import AgentBinding
 from repro.sim.road import Road
@@ -59,6 +60,9 @@ class World:
         self.collision: Optional[CollisionEvent] = None
         self.off_lane = False
         self.off_road = False
+        # ``(ego.d, lane_line_distances())`` of the latest query; NaN
+        # never equals a d, so the first query computes.
+        self._lane_lines: Tuple[float, Tuple[float, float]] = (math.nan, (0.0, 0.0))
 
     def add_agent(self, binding: AgentBinding) -> None:
         """Register a traffic actor."""
@@ -184,7 +188,7 @@ class World:
             return None
         return max(0.0, lead.rear_s - self.ego.front_s)
 
-    def lane_line_distances(self) -> tuple:
+    def lane_line_distances(self) -> Tuple[float, float]:
         """Distances [m] from the ego body sides to its *current* lane's
         lines.
 
@@ -194,13 +198,22 @@ class World:
         is the nearest one — a vehicle that has fully drifted into the
         adjacent lane is measured against that lane's lines, as a
         camera-based lane detector would report.
+
+        A step queries it several times at one ``ego.d``, the only input
+        that changes after the scenario is built, so the latest answer is
+        kept until ``ego.d`` moves (``-0.0`` and ``+0.0`` give the same
+        answer).
         """
-        lane = self.road.nearest_lane(self.ego.d)
+        d = self.ego.d
+        last_d, distances = self._lane_lines
+        if d == last_d:
+            return distances
+        lane = self.road.nearest_lane(d)
         right, left = self.road.lane_bounds(lane)
         half_wid = 0.5 * self.ego.params.width
-        dist_right = (self.ego.d - half_wid) - right
-        dist_left = left - (self.ego.d + half_wid)
-        return dist_right, dist_left
+        distances = ((d - half_wid) - right, left - (d + half_wid))
+        self._lane_lines = (d, distances)
+        return distances
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

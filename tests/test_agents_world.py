@@ -160,6 +160,24 @@ class TestWorldDetection:
         expected = (3.7 - world.ego.params.width) / 2
         assert right == pytest.approx(expected, abs=1e-6)
 
+    def test_lane_line_memo_follows_ego_d(self):
+        # The world keeps its latest answer while ego.d is unchanged; each
+        # move (across the lane boundary at 1.85 m, to both signed zeros
+        # and back) must give the fresh computation, bit for bit.
+        world = make_world()
+        road = world.road
+        half_wid = 0.5 * world.ego.params.width
+
+        def fresh(d):
+            right, left = road.lane_bounds(road.nearest_lane(d))
+            return ((d - half_wid) - right).hex(), (left - (d + half_wid)).hex()
+
+        for d in (0.0, 1.8, 1.85, 1.9, 3.7, 1.84, -0.0, 0.0, -0.0, -1.0, 0.0):
+            world.ego.d = d
+            for _ in range(2):
+                right, left = world.lane_line_distances()
+                assert (right.hex(), left.hex()) == fresh(d), d
+
     def test_lead_selection_nearest(self):
         world = make_world(ego_speed=20.0, lead_gap=40.0)
         road = world.road

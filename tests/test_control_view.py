@@ -4,9 +4,9 @@
 per-step world queries: the vectorized control stack, the masked hazard
 screen and the metric accumulators read it, while scalar code asks each
 lane's world.  The byte-compare suites check it only end to end; these
-tests compare every entry with what the lane's own objects give, after
-``prime``, after every ``step`` and after every compaction that drops
-retired lanes' rows.
+tests compare every entry with what the lane's own objects give, once
+``BatchDynamics.sync`` has written them, after ``prime``, after every
+``step`` and after every compaction that drops retired lanes' rows.
 """
 
 from collections import Counter
@@ -83,6 +83,10 @@ def _expected(platform):
 
 
 def _assert_view_matches(stack, lanes, seen):
+    # The lockstep writes a lane's objects only when a scalar reader
+    # needs them; these queries are such a reader.
+    for row, lane in enumerate(lanes):
+        stack.dynamics.sync(row, lane)
     view = stack.dynamics.control_view
     # One packed row per active lane, in ``lanes`` order.
     assert all(
